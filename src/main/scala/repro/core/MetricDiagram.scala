@@ -26,23 +26,106 @@ object MetricDiagram {
   /** Boundary indices into the score-descending match list: sample point `i`
     * admits matches `[0, boundaries(i))`.
     */
-  private[core] def boundaries(nMatches: Int, s: Int): Array[Int] = {
+  private[repro] def boundaries(nMatches: Int, s: Int): Array[Int] = {
     require(s >= 2, s"need at least 2 sample points, got $s")
     Array.tabulate(s)(i => ((i.toLong * nMatches) / (s - 1)).toInt)
+  }
+
+  /** Rejects input neither algorithm can give a meaningful diagram for: a
+    * gold clustering of the wrong length, NaN scores, self-pairs and record
+    * indices outside `[0, n)`. The message names the offending match.
+    */
+  private def validate(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch]): Unit = {
+    require(gold.length == n, s"gold clustering covers ${gold.length} records, dataset has $n")
+    var i = 0
+    while (i < matches.length) {
+      val m = matches(i)
+      if (m.score.isNaN) throw new IllegalArgumentException(s"match $i has a NaN score: $m")
+      if (m.a < 0 || m.a >= n || m.b < 0 || m.b >= n)
+        throw new IllegalArgumentException(s"match $i has a record index outside [0, $n): $m")
+      if (m.a == m.b) throw new IllegalArgumentException(s"match $i is a self-pair: $m")
+      i += 1
+    }
   }
 
   private def sortedDesc(matches: IndexedSeq[ScoredMatch]): IndexedSeq[ScoredMatch] =
     matches.sortBy(-_.score)
 
+  /** The record pairs of `matches` in exactly the order `sortedDesc` gives,
+    * as two primitive arrays (`a(j)`, `b(j)`).
+    *
+    * A stable LSD radix sort over 16-bit digits of the order-preserving bits
+    * of `-score`: flipping the sign bit of a non-negative double and all bits
+    * of a negative one makes unsigned comparison of the bits agree with
+    * `java.lang.Double.compare`, which is what `sortBy` uses (so `+0.0`
+    * sorts before `-0.0`, and ties keep their input order). Digit passes in
+    * which all keys agree are skipped, and input that is already in order
+    * is copied without a pass.
+    */
+  private[core] def sortedPairs(matches: IndexedSeq[ScoredMatch]): (Array[Int], Array[Int]) = {
+    val m = matches.length
+    var keys = new Array[Long](m)
+    var pairs = new Array[Long](m)
+    var inOrder = true
+    var j = 0
+    while (j < m) {
+      val x = matches(j)
+      val bits = java.lang.Double.doubleToRawLongBits(-x.score)
+      keys(j) = bits ^ ((bits >> 63) | Long.MinValue)
+      pairs(j) = (x.a.toLong << 32) | (x.b & 0xFFFFFFFFL)
+      if (j > 0 && java.lang.Long.compareUnsigned(keys(j - 1), keys(j)) > 0) inOrder = false
+      j += 1
+    }
+    if (!inOrder) {
+      var keysTmp = new Array[Long](m)
+      var pairsTmp = new Array[Long](m)
+      val offsets = new Array[Int](1 << 16)
+      var shift = 0
+      while (shift < 64) {
+        java.util.Arrays.fill(offsets, 0)
+        j = 0
+        while (j < m) { offsets(((keys(j) >>> shift) & 0xFFFF).toInt) += 1; j += 1 }
+        if (offsets(((keys(0) >>> shift) & 0xFFFF).toInt) != m) {
+          var sum = 0
+          var d = 0
+          while (d < offsets.length) { val c = offsets(d); offsets(d) = sum; sum += c; d += 1 }
+          j = 0
+          while (j < m) {
+            val d = ((keys(j) >>> shift) & 0xFFFF).toInt
+            val pos = offsets(d)
+            keysTmp(pos) = keys(j)
+            pairsTmp(pos) = pairs(j)
+            offsets(d) = pos + 1
+            j += 1
+          }
+          val k = keys; keys = keysTmp; keysTmp = k
+          val p = pairs; pairs = pairsTmp; pairsTmp = p
+        }
+        shift += 16
+      }
+    }
+    val a = new Array[Int](m)
+    val b = new Array[Int](m)
+    j = 0
+    while (j < m) { a(j) = (pairs(j) >>> 32).toInt; b(j) = pairs(j).toInt; j += 1 }
+    (a, b)
+  }
+
   /** The paper's optimized algorithm (Appendix D, Algorithm 1): a single
     * pass over the score-sorted matches through a tracked-union union-find,
     * maintaining the experiment∩ground-truth intersection clustering
     * dynamically. Worst-case O(n + |Matches| * (s + log|Matches|)).
+    *
+    * The matches are ordered by a primitive radix sort (`sortedPairs`) into
+    * the same order `naive`'s `sortBy` gives, and the pass runs over the
+    * resulting `Int` arrays. [[DynamicIntersection]] keeps singleton
+    * experiment clusters implicit, so set-up is two arrays of size `n`
+    * (the union-find) and the gold pair count, not a map per record.
     */
   def custom(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] = {
-    require(gold.length == n, s"gold clustering covers ${gold.length} records, dataset has $n")
-    val sorted = sortedDesc(matches)
-    val bounds = boundaries(sorted.length, s)
+    validate(n, gold, matches)
+    val (a, b) = sortedPairs(matches)
+    val bounds = boundaries(a.length, s)
     val exp = new UnionFind(n)
     val intersect = new DynamicIntersection(gold)
     val goldPairs = goldPairCount(gold)
@@ -58,9 +141,7 @@ object MetricDiagram {
     out += snapshot()
     var i = 1
     while (i < s) {
-      val batch = sorted.view.slice(bounds(i - 1), bounds(i)).map(m => (m.a, m.b))
-      val merges = exp.trackedUnion(batch)
-      intersect.update(merges)
+      intersect.update(exp.trackedUnion(a, b, bounds(i - 1), bounds(i)))
       out += snapshot()
       i += 1
     }
@@ -75,7 +156,7 @@ object MetricDiagram {
     * infeasible at 10^5+ records).
     */
   def naive(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] = {
-    require(gold.length == n, s"gold clustering covers ${gold.length} records, dataset has $n")
+    validate(n, gold, matches)
     val sorted = sortedDesc(matches)
     val bounds = boundaries(sorted.length, s)
     (0 until s).map { i =>
@@ -95,9 +176,22 @@ object MetricDiagram {
     matrices.map(m => (fx(m), fy(m)))
   }
 
+  /** Sum of C(size, 2) over the gold clusters: sorts a copy of the IDs and
+    * counts runs, so any IDs (sparse, negative) work without a map.
+    */
   private def goldPairCount(gold: Array[Int]): Long = {
-    val counts = new scala.collection.mutable.LongMap[Long]
-    gold.foreach(c => counts(c.toLong) = counts.getOrElse(c.toLong, 0L) + 1)
-    counts.values.map(ConfusionMatrix.pairsOf).sum
+    val ids = gold.clone()
+    java.util.Arrays.sort(ids)
+    var pairs = 0L
+    var start = 0
+    var j = 1
+    while (j <= ids.length) {
+      if (j == ids.length || ids(j) != ids(start)) {
+        pairs += ConfusionMatrix.pairsOf((j - start).toLong)
+        start = j
+      }
+      j += 1
+    }
+    pairs
   }
 }

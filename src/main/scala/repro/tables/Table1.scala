@@ -80,8 +80,10 @@ object Table1 {
       customBest = math.min(customBest, ct)
       naiveBest = math.min(naiveBest, nt)
     }
-    require(customOut == naiveOut,
-      s"${w.dataset}: custom and naive disagree — custom head ${customOut.take(3)}, naive head ${naiveOut.take(3)}")
+    require(customOut == naiveOut, {
+      val i = customOut.indices.find(i => customOut(i) != naiveOut.lift(i).orNull).getOrElse(customOut.length)
+      s"${w.dataset}: custom and naive disagree first at sample point $i — custom ${customOut.lift(i)}, naive ${naiveOut.lift(i)}"
+    })
     Result(w.dataset, w.records, w.matchedPairs, customBest, naiveBest)
   }
 

@@ -106,7 +106,7 @@ object Table3 {
     val s = math.min(samplePoints, scored.length + 1).max(2)
     val sorted = scored.sortBy(-_.score)
     val matrices = MetricDiagram.custom(n, gold, sorted, s)
-    val boundaries = Array.tabulate(s)(i => ((i.toLong * sorted.length) / (s - 1)).toInt)
+    val boundaries = MetricDiagram.boundaries(sorted.length, s)
     val candidates = matrices.zipWithIndex.filter { case (_, i) => boundaries(i) > 0 }
     val best = candidates.maxBy { case (m, _) => PairMetrics.f1(m) }._2
     sorted(boundaries(best) - 1).score

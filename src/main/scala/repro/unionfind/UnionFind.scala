@@ -71,22 +71,41 @@ final class UnionFind(val n: Int) {
     * pre-batch representative now contained in it.
     */
   def trackedUnion(batch: IterableOnce[(Int, Int)]): Vector[Merge] = {
-    // sources(post-root) = set of pre-batch roots merged into it
     val acc = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
     val it  = batch.iterator
     while (it.hasNext) {
       val (a, b) = it.next()
-      val ra = find(a); val rb = find(b)
-      if (ra != rb) {
-        val srcA = acc.remove(ra.toLong).getOrElse(mutable.ArrayBuffer(ra))
-        val srcB = acc.remove(rb.toLong).getOrElse(mutable.ArrayBuffer(rb))
-        val tgt  = union(ra, rb)
-        srcA ++= srcB
-        acc(tgt.toLong) = srcA
-      }
+      trackedStep(acc, a, b)
     }
-    acc.iterator.map { case (tgt, srcs) => Merge(tgt.toInt, srcs.toVector) }.toVector
+    merges(acc)
   }
+
+  /** [[trackedUnion]] over the pairs `(a(k), b(k))` for `k` in
+    * `[from, until)`, without boxing them into tuples.
+    */
+  private[repro] def trackedUnion(a: Array[Int], b: Array[Int], from: Int, until: Int): Vector[Merge] = {
+    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
+    var k = from
+    while (k < until) { trackedStep(acc, a(k), b(k)); k += 1 }
+    merges(acc)
+  }
+
+  /** Unions `a` and `b`, recording in `acc` (post-root -> pre-batch roots
+    * merged into it) which pre-batch clusters the surviving root absorbed.
+    */
+  private def trackedStep(acc: mutable.LongMap[mutable.ArrayBuffer[Int]], a: Int, b: Int): Unit = {
+    val ra = find(a); val rb = find(b)
+    if (ra != rb) {
+      var srcA = acc.getOrNull(ra.toLong)
+      if (srcA == null) srcA = mutable.ArrayBuffer(ra) else acc -= ra.toLong
+      val srcB = acc.getOrNull(rb.toLong)
+      if (srcB == null) srcA += rb else { acc -= rb.toLong; srcA ++= srcB }
+      acc(union(ra, rb).toLong) = srcA
+    }
+  }
+
+  private def merges(acc: mutable.LongMap[mutable.ArrayBuffer[Int]]): Vector[Merge] =
+    acc.iterator.map { case (tgt, srcs) => Merge(tgt.toInt, srcs.toVector) }.toVector
 
   /** Cluster assignment snapshot: record index -> representative. */
   def toClustering: Array[Int] = Array.tabulate(n)(find)

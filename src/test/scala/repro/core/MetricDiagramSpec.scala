@@ -101,6 +101,32 @@ class MetricDiagramSpec extends AnyFunSuite {
       MetricDiagram.custom(5, Array(0, 1), IndexedSeq.empty, 2))
   }
 
+  test("both algorithms reject a NaN score, naming the match") {
+    val matches = IndexedSeq(ScoredMatch(0, 1, 0.9), ScoredMatch(1, 2, Double.NaN))
+    Seq(MetricDiagram.custom _, MetricDiagram.naive _).foreach { algo =>
+      val e = intercept[IllegalArgumentException](algo(3, Array(0, 0, 1), matches, 2))
+      assert(e.getMessage.contains("match 1 has a NaN score: ScoredMatch(1,2,NaN)"))
+    }
+  }
+
+  test("both algorithms reject a self-pair, naming the match") {
+    val matches = IndexedSeq(ScoredMatch(2, 2, 0.5))
+    Seq(MetricDiagram.custom _, MetricDiagram.naive _).foreach { algo =>
+      val e = intercept[IllegalArgumentException](algo(3, Array(0, 0, 1), matches, 2))
+      assert(e.getMessage.contains("match 0 is a self-pair: ScoredMatch(2,2,0.5)"))
+    }
+  }
+
+  test("both algorithms reject record indices outside [0, n), naming the match") {
+    for (bad <- Seq(ScoredMatch(0, 3, 0.5), ScoredMatch(-1, 1, 0.5))) {
+      val matches = IndexedSeq(ScoredMatch(0, 1, 0.9), ScoredMatch(1, 2, 0.8), bad)
+      Seq(MetricDiagram.custom _, MetricDiagram.naive _).foreach { algo =>
+        val e = intercept[IllegalArgumentException](algo(3, Array(0, 0, 1), matches, 2))
+        assert(e.getMessage.contains(s"match 2 has a record index outside [0, 3): $bad"))
+      }
+    }
+  }
+
   test("diagram maps matrices through named metrics") {
     val ms = Seq(ConfusionMatrix(0, 0, 2, 4), ConfusionMatrix(2, 0, 0, 4))
     val pts = MetricDiagram.diagram(ms, "recall", "precision")
@@ -126,6 +152,39 @@ class MetricDiagramSpec extends AnyFunSuite {
         ScoredMatch(a, b, rnd.nextDouble())
       }
       val s = 2 + rnd.nextInt(9)
+      assert(MetricDiagram.custom(n, gold, matches, s) ==
+        MetricDiagram.naive(n, gold, matches, s))
+    }
+  }
+
+  // Heavily tied scores (both zeros among them), duplicate and reversed
+  // pairs, and input that is shuffled, presorted or reverse-sorted: custom's
+  // radix order must be exactly naive's `sortBy(-score)`, which keeps ties
+  // in input order and puts +0.0 before -0.0.
+  for (seed <- 1 to 24) {
+    test(s"custom ≡ naive on tied, duplicated, presorted and reversed input (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 10 + rnd.nextInt(40)
+      val gold = Array.fill(n)(rnd.nextInt(1 + n / 3))
+      val levels = Array(0.0, -0.0, 0.5, -0.5, 1.0, 0.25, Double.NegativeInfinity)
+      val nLevels = 1 + rnd.nextInt(levels.length)
+      val distinct = IndexedSeq.fill(rnd.nextInt(60)) {
+        val a = rnd.nextInt(n)
+        ScoredMatch(a, (a + 1 + rnd.nextInt(n - 1)) % n, levels(rnd.nextInt(nLevels)))
+      }
+      val dups = distinct.filter(_ => rnd.nextBoolean()).map { m =>
+        val again = if (rnd.nextBoolean()) m else m.copy(a = m.b, b = m.a)
+        again.copy(score = levels(rnd.nextInt(nLevels)))
+      }
+      val shuffled = rnd.shuffle(distinct ++ dups)
+      val matches = seed % 3 match {
+        case 0 => shuffled
+        case 1 => shuffled.sortBy(-_.score)
+        case _ => shuffled.sortBy(_.score)
+      }
+      val (a, b) = MetricDiagram.sortedPairs(matches)
+      assert(a.toSeq.zip(b) == matches.sortBy(-_.score).map(m => (m.a, m.b)))
+      val s = if (rnd.nextBoolean()) (matches.length + 1).max(2) else 2 + rnd.nextInt(9)
       assert(MetricDiagram.custom(n, gold, matches, s) ==
         MetricDiagram.naive(n, gold, matches, s))
     }

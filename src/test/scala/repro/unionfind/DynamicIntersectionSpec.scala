@@ -24,6 +24,41 @@ class DynamicIntersectionSpec extends AnyFunSuite {
     assert(di.intersectionSizes(2) == Map(1L -> 1L))
   }
 
+  test("an untouched root keeps its implicit singleton after other merges") {
+    val gold = Array(0, 0, 1, 1, 2)
+    val uf = new UnionFind(5)
+    val di = new DynamicIntersection(gold)
+    di.update(uf.trackedUnion(Seq((0, 1), (2, 3))))
+    assert(di.pairCount == 2)
+    assert(di.intersectionSizes(4) == Map(2L -> 1L))
+    assert(di.intersectionSizes(uf.find(2)) == Map(1L -> 2L))
+  }
+
+  test("a never-merged source folds into a multi-member cluster") {
+    val gold = Array(0, 0, 1, 0, 1)
+    val uf = new UnionFind(5)
+    val di = new DynamicIntersection(gold)
+    di.update(uf.trackedUnion(Seq((0, 1), (1, 2))))
+    assert(di.intersectionSizes(uf.find(0)) == Map(0L -> 2L, 1L -> 1L))
+    assert(di.pairCount == 1)
+    di.update(uf.trackedUnion(Seq((3, 0), (4, 3))))
+    assert(di.intersectionSizes(uf.find(0)) == Map(0L -> 3L, 1L -> 2L))
+    assert(di.pairCount == bruteTp(uf.toClustering, gold))
+  }
+
+  test("the larger map of a smaller experiment cluster moves to the surviving root") {
+    // {0,1,2} all gold 0 (one entry, three records) absorbs {3,4} (two entries).
+    val gold = Array(0, 0, 0, 1, 2)
+    val uf = new UnionFind(5)
+    val di = new DynamicIntersection(gold)
+    di.update(uf.trackedUnion(Seq((0, 1), (1, 2), (3, 4))))
+    val merges = uf.trackedUnion(Seq((0, 3)))
+    di.update(merges)
+    assert(merges.map(_.target) == Vector(uf.find(0)))
+    assert(di.intersectionSizes(uf.find(0)) == Map(0L -> 3L, 1L -> 1L, 2L -> 1L))
+    assert(di.pairCount == 3)
+  }
+
   test("merging two records of the same gold cluster yields one TP") {
     val gold = Array(0, 0, 1, 1)
     val uf = new UnionFind(4)

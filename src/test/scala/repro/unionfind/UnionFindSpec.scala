@@ -112,6 +112,25 @@ class UnionFindSpec extends AnyFunSuite {
     assert(merges.head.sources.toSet == Set(r01, 2))
   }
 
+  for (seed <- 1 to 5) {
+    test(s"array trackedUnion returns the same merges as the tuple overload (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 50
+      val viaTuples = new UnionFind(n)
+      val viaArrays = new UnionFind(n)
+      (1 to 8).foreach { _ =>
+        val k = 1 + rnd.nextInt(20)
+        val a = Array.fill(k)(rnd.nextInt(n))
+        val b = Array.fill(k)(rnd.nextInt(n))
+        val from = rnd.nextInt(k)
+        val until = from + rnd.nextInt(k - from + 1)
+        val expected = viaTuples.trackedUnion((from until until).map(i => (a(i), b(i))))
+        assert(viaArrays.trackedUnion(a, b, from, until) == expected)
+        assert(viaArrays.toClustering.sameElements(viaTuples.toClustering))
+      }
+    }
+  }
+
   // Randomized cross-check: pairCount and componentCount against a brute-force
   // partition model, across several seeds.
   for (seed <- 1 to 8) {
