@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** DataFrame helpers for clusterings and pair sets.
@@ -32,18 +32,7 @@ object ClusteringOps {
   }
 
   /** Number of intra-cluster pairs, Σ_c C(|c|, 2), without materializing them. */
-  def pairCount(clustering: DataFrame): Long =
-    clustering
-      .groupBy(col("cluster"))
-      .agg(count(lit(1)).as("n"))
-      .agg(sum(expr("n * (n - 1) / 2")).as("pairs"))
-      .collect()(0)
-      .getAs[Any]("pairs") match {
-      case null          => 0L
-      case l: Long       => l
-      case d: java.math.BigDecimal => d.longValueExact()
-      case x             => x.toString.toDouble.toLong
-    }
+  def pairCount(clustering: DataFrame): Long = groupPairCount(clustering, col("cluster"))
 
   /** Intersection clustering of two clusterings over the same records:
     * (id, cluster = (expCluster, goldCluster) pair key). Returned as
@@ -56,15 +45,10 @@ object ClusteringOps {
 
   /** Intra-cluster pair count of the intersection clustering = TP. */
   def intersectionPairCount(exp: DataFrame, gold: DataFrame): Long =
-    intersection(exp, gold)
-      .groupBy(col("ecluster"), col("gcluster"))
-      .agg(count(lit(1)).as("n"))
-      .agg(sum(expr("n * (n - 1) / 2")).as("pairs"))
-      .collect()(0)
-      .getAs[Any]("pairs") match {
-      case null          => 0L
-      case l: Long       => l
-      case d: java.math.BigDecimal => d.longValueExact()
-      case x             => x.toString.toDouble.toLong
-    }
+    groupPairCount(intersection(exp, gold), col("ecluster"), col("gcluster"))
+
+  /** Σ over the groups of `keys` of C(group size, 2). */
+  private def groupPairCount(df: DataFrame, keys: Column*): Long =
+    Rows.long(df.groupBy(keys: _*).agg(count(lit(1)).as("n"))
+      .agg(sum(expr("n * (n - 1) / 2"))).collect()(0), 0)
 }

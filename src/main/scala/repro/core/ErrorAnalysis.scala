@@ -82,7 +82,7 @@ object ErrorAnalysis {
         sum(when(col("correct"), 0).otherwise(1)).as("falseCnt"),
       ).collect()(0)
       val cnt = agg.getAs[Long]("cnt")
-      val falseCnt = Option(agg.getAs[Any]("falseCnt")).map(_.toString.toLong).getOrElse(0L)
+      val falseCnt = Rows.long(agg, 1)
       (a, cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
     }
     joined.unpersist()

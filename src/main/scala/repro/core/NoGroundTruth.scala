@@ -14,7 +14,7 @@ object NoGroundTruth {
   def missingClosurePairs(spark: SparkSession, records: DataFrame, matchPairs: DataFrame): Long = {
     val pairs = ClusteringOps.canonicalPairs(matchPairs).cache()
     val edges = pairs.select(col("a").as("src"), col("b").as("dst"))
-    val clustering = ConnectedComponents.run(spark, records, edges)
+    val clustering = ConnectedComponents.closure(records, edges)
     val closed = ClusteringOps.pairCount(clustering)
     val proposed = pairs.count()
     pairs.unpersist()
@@ -52,13 +52,11 @@ object NoGroundTruth {
     * @param scored (a, b, score, matched: Boolean) — all scored candidate pairs
     */
   def compactnessAndSparsity(scored: DataFrame, neighbourhoodSize: Int = 1000): (Double, Double) = {
-    val compact = scored.filter(col("matched"))
-      .agg(avg(col("score")).as("m")).collect()(0)
-    val compactness = Option(compact.getAs[Any]("m")).map(_.toString.toDouble).getOrElse(0.0)
-    val sparse = scored.filter(!col("matched"))
+    val compactness = Rows.double(scored.filter(col("matched"))
+      .agg(avg(col("score"))).collect()(0), 0)
+    val sparsity = Rows.double(scored.filter(!col("matched"))
       .orderBy(col("score").desc).limit(neighbourhoodSize)
-      .agg(avg(col("score")).as("m")).collect()(0)
-    val sparsity = Option(sparse.getAs[Any]("m")).map(_.toString.toDouble).getOrElse(0.0)
+      .agg(avg(col("score"))).collect()(0), 0)
     (compactness, sparsity)
   }
 }

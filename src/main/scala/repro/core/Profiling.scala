@@ -15,7 +15,7 @@ object Profiling {
     require(attrs.nonEmpty, "need at least one attribute")
     val nullCols = attrs.map(a => sum(when(col(a).isNull, 1).otherwise(0)))
     val row = records.agg(nullCols.head, nullCols.tail: _*).collect()(0)
-    val nulls = (0 until attrs.size).map(i => row.getAs[Any](i).toString.toLong).sum
+    val nulls = attrs.indices.map(Rows.long(row, _)).sum
     val total = records.count() * attrs.size
     if (total == 0) 0.0 else nulls.toDouble / total
   }
@@ -30,8 +30,7 @@ object Profiling {
         .select(size(split(trim(col(a).cast("string")), "\\s+")).as("words"))
     }
     val all = perAttr.reduce(_ union _).filter(col("words") > 0)
-    val agg = all.agg(avg(col("words")).as("tx")).collect()(0)
-    Option(agg.getAs[Any]("tx")).map(_.toString.toDouble).getOrElse(0.0)
+    Rows.double(all.agg(avg(col("words")).as("tx")).collect()(0), 0)
   }
 
   /** Tuple count (TC). */

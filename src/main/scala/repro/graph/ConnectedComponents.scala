@@ -1,75 +1,85 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+
+import repro.unionfind.UnionFind
 
 /** Connected components over an undirected edge list — the transitive
   * closure step Frost applies to turn a set of matches into an experiment
   * clustering (Frost, Section 1.2 / 4.2.4).
   *
-  * Implemented as iterative minimum-label propagation on DataFrames: every
-  * record starts labelled with its own ID; each round every record adopts
-  * the minimum label in its closed neighbourhood, until a fixpoint. Rounds
-  * are O(component diameter); match graphs from deduplication have tiny
-  * components so this converges in a handful of rounds.
+  * Match edge sets are small next to records and candidates (about 11.5k
+  * admitted edges against 337k candidates on Z2), so the closure runs on
+  * the driver: the edges are collected, their endpoint IDs relabelled to a
+  * dense range, and unioned with [[repro.unionfind.UnionFind]]. Only the
+  * join back onto the records runs in Spark.
   */
 object ConnectedComponents {
 
-  /** Components of the graph induced by `edges` over exactly the node set
-    * appearing in `edges`.
-    *
-    * @param edges DataFrame with long columns `src`, `dst` (unordered pairs)
-    * @return DataFrame (id: Long, cluster: Long), `cluster` = component min ID
+  /** Most edges one closure collects to the driver. A collected edge costs
+    * roughly 100 bytes there while it is read, so the cap bounds that at
+    * about 500 MB; a larger match set fails after at most `maxEdges + 1`
+    * of its edges are collected.
     */
-  def components(edges: DataFrame, maxIter: Int = 50): DataFrame = {
-    // localCheckpoint each iteration: without it the self-referential join
-    // lineage grows every round and Catalyst re-plans the whole history,
-    // which dominates runtime after a few dozen iterations.
-    val sym = edges.select(col("src"), col("dst"))
-      .union(edges.select(col("dst").as("src"), col("src").as("dst")))
-      .distinct()
-      .localCheckpoint(true)
-    val nodes = sym.select(col("src").as("id")).distinct()
-
-    var labels = nodes.select(col("id"), col("id").as("cluster")).localCheckpoint(true)
-    var converged = false
-    var iter = 0
-    while (!converged && iter < maxIter) {
-      val neighborMin = sym
-        .join(labels, sym("dst") === labels("id"))
-        .groupBy(sym("src").as("id"))
-        .agg(min(col("cluster")).as("nmin"))
-      val joined = labels.as("l")
-        .join(neighborMin.as("m"), col("l.id") === col("m.id"), "left")
-        .select(
-          col("l.id").as("id"),
-          col("l.cluster").as("old"),
-          least(col("l.cluster"), coalesce(col("m.nmin"), col("l.cluster"))).as("cluster"),
-        )
-        .localCheckpoint(true)
-      val changed = joined.filter(col("cluster") < col("old")).limit(1).count()
-      labels = joined.select(col("id"), col("cluster"))
-      converged = changed == 0
-      iter += 1
-    }
-    labels
-  }
+  val maxEdges: Int = 5000000
 
   /** Full clustering of `records` under the transitive closure of `edges`:
-    * nodes touched by an edge get their component label, all other records
-    * are singletons labelled by their own ID. Runs label propagation only on
-    * the induced subgraph — matches are sparse, datasets are not.
+    * records touched by an edge get their component's minimum ID, all other
+    * records are singletons labelled by their own ID. Self-loops and
+    * duplicate edges are harmless; IDs need not be dense.
     *
     * @param records DataFrame with a unique long `id` column
+    * @param edges   DataFrame with long columns `src`, `dst` (unordered pairs)
+    * @return DataFrame (id: Long, cluster: Long)
+    * @throws IllegalArgumentException if an edge has a null endpoint or
+    *         there are more than [[maxEdges]] edges
     */
-  def closure(records: DataFrame, edges: DataFrame, maxIter: Int = 50): DataFrame = {
-    val matched = components(edges, maxIter)
+  def closure(records: DataFrame, edges: DataFrame): DataFrame = {
+    val (src, dst) = collectEdges(edges, maxEdges)
+    val labels = components(src, dst)
+    val spark = records.sparkSession
+    import spark.implicits._
     records.select(col("id"))
-      .join(matched.withColumnRenamed("cluster", "ccluster"), Seq("id"), "left")
+      .join(labels.toSeq.toDF("id", "ccluster"), Seq("id"), "left")
       .select(col("id"), coalesce(col("ccluster"), col("id")).as("cluster"))
   }
 
-  /** Back-compat entry matching the original signature. */
-  def run(spark: SparkSession, records: DataFrame, edges: DataFrame, maxIter: Int = 50): DataFrame =
-    closure(records, edges, maxIter)
+  /** The endpoints of at most `cap` edges, failing loudly on a null
+    * endpoint (naming the edge's index) or on more than `cap` edges.
+    */
+  private[graph] def collectEdges(edges: DataFrame, cap: Int): (Array[Long], Array[Long]) = {
+    val ends = edges.select(col("src").cast("long"), col("dst").cast("long"))
+    val rows = ends.limit(cap + 1).collect()
+    if (rows.length > cap)
+      throw new IllegalArgumentException(
+        s"closure over ${ends.count()} edges exceeds the driver cap of $cap edges")
+    val src = new Array[Long](rows.length)
+    val dst = new Array[Long](rows.length)
+    var k = 0
+    while (k < rows.length) {
+      val r = rows(k)
+      if (r.isNullAt(0) || r.isNullAt(1))
+        throw new IllegalArgumentException(s"edge $k has a null endpoint: (${r.get(0)}, ${r.get(1)})")
+      src(k) = r.getLong(0); dst(k) = r.getLong(1)
+      k += 1
+    }
+    (src, dst)
+  }
+
+  /** (id, component minimum ID) for every endpoint of the edges. */
+  private def components(src: Array[Long], dst: Array[Long]): Array[(Long, Long)] = {
+    val ids = (src ++ dst).sorted.distinct
+    def dense(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
+    val uf = new UnionFind(ids.length)
+    var k = 0
+    while (k < src.length) { uf.union(dense(src(k)), dense(dst(k))); k += 1 }
+    // IDs ascend, so the first member seen of each component is its minimum.
+    val minOf = Array.fill(ids.length)(-1)
+    Array.tabulate(ids.length) { i =>
+      val root = uf.find(i)
+      if (minOf(root) < 0) minOf(root) = i
+      (ids(i), ids(minOf(root)))
+    }
+  }
 }

@@ -22,7 +22,7 @@ trait MatchingSolution {
   /** Experiment clustering (id, cluster): transitive closure of the matches. */
   def clustering(spark: SparkSession, records: DataFrame, threshold: Double): DataFrame = {
     val edges = matches(records, threshold).select(col("a").as("src"), col("b").as("dst"))
-    ConnectedComponents.run(spark, records, edges)
+    ConnectedComponents.closure(records, edges)
   }
 }
 
@@ -30,8 +30,11 @@ trait MatchingSolution {
 final case class AttributeRule(attr: String, weight: Double, measure: String = "jaccard") {
   require(weight >= 0, s"negative weight for $attr")
 
+  /** Similarity of two non-null sides; a "jaccard" side is the attribute
+    * encoded by [[Similarity.tokenEncoder]], the others the raw value.
+    */
   def simCol(l: Column, r: Column): Column = measure match {
-    case "jaccard"     => Similarity.tokenJaccardCol(l, r)
+    case "jaccard"     => Similarity.knownJaccardCol(l, r)
     case "levenshtein" => Similarity.levenshteinSimCol(l, r)
     case "equality"    => Similarity.equalityCol(l, r)
     case other         => sys.error(s"unknown measure: $other")
@@ -43,6 +46,10 @@ final case class AttributeRule(attr: String, weight: Double, measure: String = "
   * attribute is excluded from the weighted mean (it carries no signal);
   * a null on one side scores 0 — missing data hurts, which is exactly the
   * "material mismatch" mechanism of Frost Section 4.5.2.
+  *
+  * With `knownVocab` set, token Jaccard is [[Similarity.tokenJaccardKnown]]
+  * (shared out-of-vocabulary tokens count half); without it, plain
+  * [[Similarity.tokenJaccard]].
   */
 final case class WeightedRuleMatcher(
     name: String,
@@ -52,32 +59,48 @@ final case class WeightedRuleMatcher(
     knownVocab: Option[Set[String]] = None,
 ) extends MatchingSolution {
   require(rules.nonEmpty && rules.exists(_.weight > 0), "need at least one weighted rule")
+  require(rules.map(_.attr).distinct.size == rules.size,
+    s"one rule per attribute, got ${rules.map(_.attr).mkString(", ")}")
 
-  override def score(records: DataFrame): DataFrame = {
+  /** Per-attribute similarity table: candidate pairs (a, b) with, for each
+    * rule's attribute, `act_<attr>` (1.0 when either side is non-null, else
+    * 0.0) and `sim_<attr>` (the rule's similarity, 0.0 when either side is
+    * null). Token-Jaccard attributes are tokenized and encoded per record,
+    * before the join with the candidates, so each candidate pair costs one
+    * merge of two ID arrays.
+    */
+  def similarities(records: DataFrame): DataFrame = {
     val candidates = Blocking.tokenBlocking(records, blockingAttrs, maxBlockSize, knownVocab = knownVocab)
-    val attrs = rules.map(_.attr).distinct
-    val left  = records.select((col("id").as("a") +: attrs.map(c => col(c).as(s"la_$c"))).toSeq: _*)
-    val right = records.select((col("id").as("b") +: attrs.map(c => col(c).as(s"rb_$c"))).toSeq: _*)
-    val joined = candidates.join(left, Seq("a")).join(right, Seq("b"))
-
-    // Weighted mean over attributes with signal: weight participates only
-    // when at least one side is non-null.
-    val jaccardKnown = knownVocab.map(Similarity.tokenJaccardKnownUdf)
-    val contributions = rules.map { rule =>
+    lazy val encode = Similarity.tokenEncoder(records, rules.filter(_.measure == "jaccard").map(_.attr), knownVocab)
+    val sides = rules.map(r => if (r.measure == "jaccard") encode(col(r.attr)) else col(r.attr))
+    def side(id: String, prefix: String) =
+      records.select(col("id").as(id) +: rules.zip(sides).map { case (r, c) => c.as(s"$prefix${r.attr}") }: _*)
+    val joined = candidates.join(side("a", "la_"), Seq("a")).join(side("b", "rb_"), Seq("b"))
+    val simCols = rules.flatMap { rule =>
       val l = col(s"la_${rule.attr}"); val r = col(s"rb_${rule.attr}")
-      val active = l.isNotNull || r.isNotNull
-      val rawSim = (rule.measure, jaccardKnown) match {
-        case ("jaccard", Some(f)) => f(l, r) // vocabulary-restricted solution
-        case _                    => rule.simCol(l, r)
-      }
-      val sim = when(l.isNull || r.isNull, lit(0.0)).otherwise(rawSim)
-      (when(active, lit(rule.weight)).otherwise(lit(0.0)), sim)
+      Seq(
+        when(l.isNotNull || r.isNotNull, 1.0).otherwise(0.0).as(s"act_${rule.attr}"),
+        when(l.isNull || r.isNull, 0.0).otherwise(rule.simCol(l, r)).as(s"sim_${rule.attr}"),
+      )
     }
-    val num = contributions.map { case (w, s) => w * s }.reduce(_ + _)
-    val den = contributions.map(_._1).reduce(_ + _)
-    joined
-      .withColumn("score", when(den > 0, num / den).otherwise(lit(0.0)))
-      .select(col("a"), col("b"), col("score"))
+    joined.select(col("a") +: col("b") +: simCols: _*)
+  }
+
+  override def score(records: DataFrame): DataFrame =
+    similarities(records).select(col("a"), col("b"),
+      WeightedRuleMatcher.weightedScore(rules.map(r => r.attr -> r.weight)).as("score"))
+}
+
+object WeightedRuleMatcher {
+
+  /** Score column over a [[WeightedRuleMatcher.similarities]] table: the
+    * weighted mean of `sim_<attr>` over the attributes whose `act_<attr>`
+    * is set, 0.0 when none is.
+    */
+  def weightedScore(weights: Seq[(String, Double)]): Column = {
+    val num = weights.map { case (at, w) => lit(w) * col(s"sim_$at") }.reduce(_ + _)
+    val den = weights.map { case (at, w) => lit(w) * col(s"act_$at") }.reduce(_ + _)
+    when(den > 0, num / den).otherwise(lit(0.0))
   }
 }
 

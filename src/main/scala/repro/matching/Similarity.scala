@@ -1,6 +1,7 @@
 package repro.matching
 
-import org.apache.spark.sql.Column
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 
 /** Similarity measures used by the matching solutions (pure Scala versions
@@ -98,7 +99,74 @@ object Similarity {
     }
   }
 
-  /** UDF form of [[tokenJaccardKnown]] for DataFrame pipelines. */
-  def tokenJaccardKnownUdf(vocab: Set[String]): org.apache.spark.sql.expressions.UserDefinedFunction =
-    udf((a: String, b: String) => tokenJaccardKnown(a, b, vocab))
+  /** Encoder of string columns into sorted token-ID arrays for
+    * [[knownJaccardCol]]: each value is tokenized once with [[tokens]] and
+    * its tokens looked up in a driver dictionary of the distinct tokens of
+    * `attrs` over `records` (one Spark job). Tokens in `vocab` get IDs >= 0,
+    * the others IDs < 0; with no vocabulary every token counts as known. A
+    * null value encodes to null. The dictionary travels in the UDF's closure.
+    */
+  def tokenEncoder(records: DataFrame, attrs: Seq[String], vocab: Option[Set[String]]): UserDefinedFunction = {
+    require(attrs.nonEmpty, "need at least one attribute to encode")
+    val tokensOf = udf((s: String) => tokens(s).toArray)
+    val distinct = attrs.map(a => records.select(explode(tokensOf(col(a))).as("token")))
+      .reduce(_ union _).distinct().collect().map(_.getString(0))
+    val dict = dictionary(distinct, vocab)
+    udf((s: String) => encode(s, dict))
+  }
+
+  /** Token -> ID over the sorted known tokens (all of them without a
+    * vocabulary), numbered from 0 up, and the sorted unknown ones, numbered
+    * from -1 down. Two sorted arrays rather than a hash map: the dictionary
+    * is shipped, and deserialized, with every task that reads a table
+    * computed through the encoder, including scans of a cached table.
+    */
+  private[matching] final class TokenDictionary(known: Array[String], unknown: Array[String]) extends Serializable {
+    def id(t: String): Int = {
+      val k = java.util.Arrays.binarySearch(known.asInstanceOf[Array[AnyRef]], t)
+      if (k >= 0) k
+      else {
+        val u = java.util.Arrays.binarySearch(unknown.asInstanceOf[Array[AnyRef]], t)
+        if (u >= 0) -1 - u else throw new IllegalStateException(s"token '$t' is not in the dictionary")
+      }
+    }
+  }
+
+  private[matching] def dictionary(distinct: Array[String], vocab: Option[Set[String]]): TokenDictionary = {
+    val (known, unknown) = distinct.sorted.partition(t => vocab.forall(_.contains(t)))
+    new TokenDictionary(known, unknown)
+  }
+
+  /** The sorted IDs of the tokens of `s`; null stays null. */
+  private[matching] def encode(s: String, dict: TokenDictionary): Array[Int] =
+    if (s == null) null
+    else {
+      val ids = tokens(s).iterator.map(dict.id).toArray
+      java.util.Arrays.sort(ids)
+      ids
+    }
+
+  /** [[tokenJaccardKnown]] over two encoded token sets, as one sorted
+    * merge: shared IDs count once, shared known (>= 0) IDs once more.
+    */
+  private[matching] def knownJaccard(x: Array[Int], y: Array[Int]): Double =
+    if (x.length == 0 || y.length == 0) 0.0
+    else {
+      var i = 0; var j = 0; var inter = 0; var knownInter = 0
+      while (i < x.length && j < y.length) {
+        val u = x(i); val v = y(j)
+        if (u < v) i += 1
+        else if (v < u) j += 1
+        else { inter += 1; if (u >= 0) knownInter += 1; i += 1; j += 1 }
+      }
+      (inter + knownInter) / (2.0 * (x.length + y.length - inter))
+    }
+
+  // Array[Int], not Seq[Int]: a Seq argument boxes every ID.
+  private val knownJaccardUdf = udf((x: Array[Int], y: Array[Int]) => knownJaccard(x, y))
+
+  /** Column expression: [[knownJaccard]] of two non-null columns encoded
+    * by the same [[tokenEncoder]].
+    */
+  def knownJaccardCol(a: Column, b: Column): Column = knownJaccardUdf(a, b)
 }

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.core.{ConfusionMatrix, MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
 import repro.emdata.{DatasetSpecs, EmGen}
 import repro.graph.ConnectedComponents
-import repro.matching.{Blocking, Similarity}
+import repro.matching.{AttributeRule, WeightedRuleMatcher}
 
 /** Table 3: transfer of matching solutions across datasets — average
   * precision / recall / f1 of solutions "developed on X2" and "developed on
@@ -64,34 +64,19 @@ object Table3 {
   )
 
   /** Per-attribute similarity table for one (dataset, family-vocabulary):
-    * candidate pairs with an activity flag and a vocabulary-restricted token
-    * Jaccard per attribute. All solutions of a family score as weighted
-    * means over these columns, so the expensive blocking + similarity work
-    * is shared across the family (the computation is identical to running
-    * each WeightedRuleMatcher end-to-end).
+    * the [[WeightedRuleMatcher.similarities]] table, with an activity flag
+    * and a vocabulary-restricted token Jaccard per attribute, of the
+    * family's matcher. All solutions of a family score as weighted means
+    * over these columns, so the expensive blocking + similarity work is
+    * shared across the family.
     */
-  def familySims(records: DataFrame, vocab: Set[String], maxBlockSize: Int = 60): DataFrame = {
-    val candidates = Blocking.tokenBlocking(records, Seq("name"), maxBlockSize, knownVocab = Some(vocab))
-    val left  = records.select((col("id").as("a") +: attrs.map(c => col(c).as(s"la_$c"))).toSeq: _*)
-    val right = records.select((col("id").as("b") +: attrs.map(c => col(c).as(s"rb_$c"))).toSeq: _*)
-    val joined = candidates.join(left, Seq("a")).join(right, Seq("b"))
-    val jac = Similarity.tokenJaccardKnownUdf(vocab)
-    val simCols = attrs.flatMap { at =>
-      val l = col(s"la_$at"); val r = col(s"rb_$at")
-      Seq(
-        when(l.isNotNull || r.isNotNull, 1.0).otherwise(0.0).as(s"act_$at"),
-        when(l.isNull || r.isNull, 0.0).otherwise(jac(l, r)).as(s"sim_$at"),
-      )
-    }
-    joined.select((col("a") +: col("b") +: simCols).toSeq: _*)
-  }
+  def familySims(records: DataFrame, vocab: Set[String], maxBlockSize: Int = 60): DataFrame =
+    WeightedRuleMatcher("family", attrs.map(AttributeRule(_, 1.0)), Seq("name"), maxBlockSize, Some(vocab))
+      .similarities(records)
 
   /** Score column of one solution over a familySims table. */
-  def scoreOf(sol: Solution): org.apache.spark.sql.Column = {
-    val num = attrs.map(at => lit(sol.weights(at)) * col(s"sim_$at")).reduce(_ + _)
-    val den = attrs.map(at => lit(sol.weights(at)) * col(s"act_$at")).reduce(_ + _)
-    when(den > 0, num / den).otherwise(lit(0.0))
-  }
+  def scoreOf(sol: Solution): org.apache.spark.sql.Column =
+    WeightedRuleMatcher.weightedScore(attrs.map(at => at -> sol.weights(at)))
 
   /** Tune a solution's threshold on its home training data: sweep the
     * metric/metric diagram (the platform's own machinery) and return the

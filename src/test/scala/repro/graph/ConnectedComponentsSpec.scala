@@ -64,9 +64,50 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(a == b)
   }
 
-  test("components() covers only matched nodes") {
-    val c = ConnectedComponents.components(edgesDf((1L, 2L)))
-    assert(c.select(col("id")).collect().map(_.getLong(0)).toSet == Set(1L, 2L))
+  test("closure relabels only matched records") {
+    // 7 is an endpoint but not a record: it gets no row of its own.
+    val c = clustersOf(ConnectedComponents.closure(records(4), edgesDf((1L, 2L), (2L, 7L))))
+    assert(c == Map(0L -> 0L, 1L -> 1L, 2L -> 1L, 3L -> 3L))
+  }
+
+  test("self-loops, duplicates and an empty edge set leave singletons alone") {
+    val loops = clustersOf(ConnectedComponents.closure(records(4), edgesDf((2L, 2L), (2L, 2L), (3L, 1L), (1L, 3L))))
+    assert(loops == Map(0L -> 0L, 1L -> 1L, 2L -> 2L, 3L -> 1L))
+    val empty = edgesDf((0L, 1L)).filter(col("src") > 5)
+    assert(clustersOf(ConnectedComponents.closure(records(3), empty)) == Map(0L -> 0L, 1L -> 1L, 2L -> 2L))
+  }
+
+  test("non-dense IDs at and above 2^40 close like dense ones, labelled by the minimum") {
+    val big = 1L << 40
+    val ids = Seq(big + 9, 5L, big, 1L << 41, big + 3, 17L)
+    val recs = ids.toDF("id")
+    val c = clustersOf(ConnectedComponents.closure(recs, edgesDf((big + 9, 1L << 41), (1L << 41, big + 3), (17L, big))))
+    assert(c == Map(big + 9 -> (big + 3), (1L << 41) -> (big + 3), (big + 3) -> (big + 3),
+      17L -> 17L, big -> 17L, 5L -> 5L))
+  }
+
+  test("every record is labelled by the minimum ID of its component (seed=3)") {
+    val rnd = new scala.util.Random(3)
+    val n = 200
+    val pairs = Seq.fill(150)((rnd.nextInt(n).toLong, rnd.nextInt(n).toLong))
+    val uf = new repro.unionfind.UnionFind(n)
+    pairs.foreach { case (a, b) => uf.union(a.toInt, b.toInt) }
+    val minOf = (0 until n).groupBy(uf.find).map { case (root, members) => root -> members.min.toLong }
+    val c = clustersOf(ConnectedComponents.closure(records(n), edgesDf(pairs: _*)))
+    (0 until n).foreach(i => assert(c(i.toLong) == minOf(uf.find(i)), s"record $i"))
+  }
+
+  test("an edge with a null endpoint fails, naming the edge") {
+    val edges = Seq((0L, Option(1L)), (2L, None)).toDF("src", "dst").coalesce(1)
+    val e = intercept[IllegalArgumentException](ConnectedComponents.closure(records(3), edges))
+    assert(e.getMessage.contains("edge 1 has a null endpoint"), e.getMessage)
+  }
+
+  test("more edges than the driver cap fail, naming the count and the cap") {
+    val edges = spark.range(10).select(col("id").as("src"), (col("id") + 1).as("dst"))
+    val e = intercept[IllegalArgumentException](ConnectedComponents.collectEdges(edges, 4))
+    assert(e.getMessage.contains("10 edges") && e.getMessage.contains("cap of 4 edges"), e.getMessage)
+    assert(ConnectedComponents.collectEdges(edges, 10)._1.length == 10)
   }
 
   test("matches driver-side union-find on a random graph") {

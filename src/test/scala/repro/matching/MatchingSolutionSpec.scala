@@ -149,4 +149,29 @@ class MatchingSolutionSpec extends SparkSpec {
       m.score(records).collect()
     }
   }
+
+  test("similarity table equals tokenJaccardKnown per attribute, bit for bit") {
+    val attrs = Seq("x", "y", "z")
+    val values = org.scalacheck.Gen.listOfN(40 * attrs.size, SimilaritySpec.messyString)
+      .pureApply(org.scalacheck.Gen.Parameters.default, org.scalacheck.rng.Seed(5L))
+    val rows = values.grouped(attrs.size).zipWithIndex.map { case (v, i) => (i.toLong, "blk", v(0), v(1), v(2)) }.toSeq
+    val recs = rows.toDF("id", "key", "x", "y", "z")
+    val byId = rows.map(r => r._1 -> Seq(r._3, r._4, r._5)).toMap
+    for (vocab <- Seq(None, Some(Set("blk", "ab", "ef", "kl")))) {
+      val m = WeightedRuleMatcher("p", attrs.map(AttributeRule(_, 1.0)), Seq("key"), maxBlockSize = 100, knownVocab = vocab)
+      val sims = m.similarities(recs).collect()
+      assert(sims.length == 40 * 39 / 2)
+      sims.foreach { row =>
+        val (a, b) = (row.getAs[Long]("a"), row.getAs[Long]("b"))
+        attrs.indices.foreach { k =>
+          val (l, r) = (byId(a)(k), byId(b)(k))
+          val want = vocab.fold(Similarity.tokenJaccard(l, r))(Similarity.tokenJaccardKnown(l, r, _))
+          val got = row.getAs[Double](s"sim_${attrs(k)}")
+          assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
+            s"($a, $b) ${attrs(k)}: '$l' vs '$r' got $got want $want (vocab $vocab)")
+          assert(row.getAs[Double](s"act_${attrs(k)}") == (if (l != null || r != null) 1.0 else 0.0))
+        }
+      }
+    }
+  }
 }

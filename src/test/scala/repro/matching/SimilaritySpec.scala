@@ -1,5 +1,9 @@
 package repro.matching
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -77,4 +81,54 @@ class SimilaritySpec extends AnyFunSuite {
       }
     }
   }
+
+  test("encoded token similarity equals tokenJaccardKnown / tokenJaccard bit for bit (property)") {
+    val prop = Prop.forAll(SimilaritySpec.messyString, SimilaritySpec.messyString, SimilaritySpec.vocab) {
+      (a, b, vocab) =>
+        val distinct = (Similarity.tokens(a) ++ Similarity.tokens(b) + "unused").toArray
+        val dict = Similarity.dictionary(distinct, vocab)
+        val (ea, eb) = (Similarity.encode(a, dict), Similarity.encode(b, dict))
+        // As in the similarity table: a null side scores 0.
+        val got = if (ea == null || eb == null) 0.0 else Similarity.knownJaccard(ea, eb)
+        val want = vocab.fold(Similarity.tokenJaccard(a, b))(Similarity.tokenJaccardKnown(a, b, _))
+        (java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
+          s"got $got want $want"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(3000).withInitialSeed(Seed(11L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+}
+
+object SimilaritySpec {
+
+  private val pool = Seq("ab", "cd", "ef", "gh", "ij", "kl")
+
+  /** Pool tokens in mixed case, so repeats and case variants are common. */
+  private val token: Gen[String] = for {
+    t <- Gen.oneOf(pool)
+    upper <- Gen.listOfN(t.length, Gen.prob(0.3))
+  } yield t.zip(upper).map { case (c, u) => if (u) c.toUpper else c }.mkString
+
+  private val space: Gen[String] = Gen.oneOf(" ", "  ", "\t", "\n", " \t\n ")
+
+  /** Attribute values: null, empty, whitespace only, or pool tokens joined
+    * by mixed whitespace with optional leading and trailing whitespace.
+    */
+  val messyString: Gen[String] = Gen.frequency(
+    1 -> Gen.const(null: String),
+    1 -> Gen.const(""),
+    1 -> space,
+    8 -> (for {
+      n <- Gen.choose(1, 6)
+      toks <- Gen.listOfN(n, token)
+      seps <- Gen.listOfN(n - 1, space)
+      lead <- Gen.oneOf(Gen.const(""), space)
+      trail <- Gen.oneOf(Gen.const(""), space)
+    } yield lead + toks.zipAll(seps, "", "").map { case (t, s) => t + s }.mkString + trail),
+  )
+
+  /** No vocabulary, or a subset of the pool (plus a token no value has). */
+  val vocab: Gen[Option[Set[String]]] =
+    Gen.option(Gen.someOf(pool).map(_.toSet + "zz"))
 }
