@@ -30,14 +30,18 @@ object ClusterMetrics {
     * Jaccard similarity to any ground-truth cluster (Benjelloun et al. /
     * Menestrina et al.).
     */
-  def closestClusterPrecision(exp: Array[Int], gold: Array[Int]): Double =
+  def closestClusterPrecision(exp: Array[Int], gold: Array[Int]): Double = {
+    ConfusionMatrix.requireSameRecords(exp, gold)
     meanBestJaccard(clustersOf(exp), clustersOf(gold))
+  }
 
   /** Closest-cluster recall: mean over ground-truth clusters of the best
     * Jaccard similarity to any experiment cluster.
     */
-  def closestClusterRecall(exp: Array[Int], gold: Array[Int]): Double =
+  def closestClusterRecall(exp: Array[Int], gold: Array[Int]): Double = {
+    ConfusionMatrix.requireSameRecords(exp, gold)
     meanBestJaccard(clustersOf(gold), clustersOf(exp))
+  }
 
   /** Closest-cluster f1 (harmonic mean of the above). */
   def closestClusterF1(exp: Array[Int], gold: Array[Int]): Double = {
@@ -62,7 +66,7 @@ object ClusterMetrics {
     * 0 iff the clusterings are identical; uses natural log.
     */
   def variationOfInformation(exp: Array[Int], gold: Array[Int]): Double = {
-    require(exp.length == gold.length, "clusterings must cover the same records")
+    ConfusionMatrix.requireSameRecords(exp, gold)
     val n = exp.length.toDouble
     if (n == 0) return 0.0
     val pe = mutable.LongMap.empty[Long]; val pg = mutable.LongMap.empty[Long]
@@ -95,7 +99,7 @@ object ClusterMetrics {
       fm: (Long, Long) => Double = (_, _) => 1.0,
       fs: (Long, Long) => Double = (_, _) => 1.0,
   ): Double = {
-    require(exp.length == gold.length, "clusterings must cover the same records")
+    ConfusionMatrix.requireSameRecords(exp, gold)
     // Slice algorithm: split every experiment cluster into its gold-pure
     // parts (split costs), then build each gold cluster by merging its parts
     // (merge costs). This ordering is cost-minimal for monotone cost models.

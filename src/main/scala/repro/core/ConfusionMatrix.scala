@@ -31,7 +31,7 @@ object ConfusionMatrix {
     * @param gold  ground-truth cluster ID per record (same indexing)
     */
   def fromClusterings(exp: Array[Int], gold: Array[Int]): ConfusionMatrix = {
-    require(exp.length == gold.length, "clusterings must cover the same records")
+    requireSameRecords(exp, gold)
     val n = exp.length.toLong
     def pairSum(assign: Array[Int]): Long = {
       val counts = new scala.collection.mutable.LongMap[Long]
@@ -54,6 +54,13 @@ object ConfusionMatrix {
     val tn = pairsOf(n) - tp - fp - fn
     ConfusionMatrix(tp, fp, fn, tn)
   }
+
+  /** Fails unless two cluster assignments cover the same number of
+    * records, naming both lengths.
+    */
+  private[core] def requireSameRecords(exp: Array[Int], gold: Array[Int]): Unit =
+    require(exp.length == gold.length,
+      s"clusterings must cover the same records: exp has ${exp.length}, gold has ${gold.length}")
 
   /** Confusion matrix from explicit pair sets over `n` records. Pairs are
     * canonicalized to (min, max) before set comparison.

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Spark-side confusion-matrix computation between an experiment clustering
   * and a ground-truth clustering (Frost, Sections 3.2.1 and 5.3: "nearly all
@@ -35,15 +34,6 @@ object MetricsEngine {
     val total = ConfusionMatrix.pairsOf(n)
     ConfusionMatrix(tp, ec - tp, gc - tp, total - ec - gc + tp)
   }
-
-  /** Per-group confusion-matrix DataFrame of the intersection pair counts —
-    * the DataFrame analogue used by oracle tests: one row per
-    * (ecluster, gcluster) with its C(n,2) pair contribution.
-    */
-  def intersectionPairContributions(exp: DataFrame, gold: DataFrame): DataFrame =
-    ClusteringOps.intersection(exp, gold)
-      .groupBy(col("ecluster"), col("gcluster"))
-      .agg(expr("count(1) * (count(1) - 1) / 2").cast("long").as("pairs"))
 
   /** All named pair metrics for a matrix, as (metric, value) rows. */
   def metricsTable(m: ConfusionMatrix): Seq[(String, Double)] =

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.graph.ConnectedComponents
 
@@ -11,7 +11,7 @@ object NoGroundTruth {
     * count of the closure minus the distinct proposed pairs. The larger,
     * the more inconsistent the proposed matches.
     */
-  def missingClosurePairs(spark: SparkSession, records: DataFrame, matchPairs: DataFrame): Long = {
+  def missingClosurePairs(records: DataFrame, matchPairs: DataFrame): Long = {
     val pairs = ClusteringOps.canonicalPairs(matchPairs).cache()
     val edges = pairs.select(col("a").as("src"), col("b").as("dst"))
     val clustering = ConnectedComponents.closure(records, edges)

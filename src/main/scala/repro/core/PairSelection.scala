@@ -17,18 +17,21 @@ object PairSelection {
   /** Pairs around the threshold (4.2.1): `k/2` pairs directly above and
     * `k/2` directly below the similarity threshold.
     */
-  def aroundThreshold(pairs: DataFrame, threshold: Double, k: Int): DataFrame = {
-    val above = pairs.filter(col("score") >= threshold).orderBy(col("score").asc).limit(k / 2)
-    val below = pairs.filter(col("score") < threshold).orderBy(col("score").desc).limit(k - k / 2)
-    above.union(below)
-  }
+  def aroundThreshold(pairs: DataFrame, threshold: Double, k: Int): DataFrame =
+    around(pairs, threshold, k, k / 2)
 
   /** Pairs around the threshold with the above/below budget split by a
     * proportion (e.g. the ratio of misclassified pairs above vs below).
     */
   def aroundThresholdProportional(pairs: DataFrame, threshold: Double, k: Int, aboveFraction: Double): DataFrame = {
     require(aboveFraction >= 0 && aboveFraction <= 1, s"fraction out of range: $aboveFraction")
-    val kAbove = math.round(k * aboveFraction).toInt
+    around(pairs, threshold, k, math.round(k * aboveFraction).toInt)
+  }
+
+  /** The `kAbove` pairs directly above (or at) the threshold and the
+    * `k - kAbove` directly below it.
+    */
+  private def around(pairs: DataFrame, threshold: Double, k: Int, kAbove: Int): DataFrame = {
     val above = pairs.filter(col("score") >= threshold).orderBy(col("score").asc).limit(kAbove)
     val below = pairs.filter(col("score") < threshold).orderBy(col("score").desc).limit(k - kAbove)
     above.union(below)

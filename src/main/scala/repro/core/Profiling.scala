@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Dataset profiling metrics for benchmark-dataset selection
@@ -51,10 +51,18 @@ object Profiling {
   def vocabulary(records: DataFrame, attrs: Seq[String]): DataFrame = {
     require(attrs.nonEmpty, "need at least one attribute")
     attrs.map { a =>
-      records.select(explode(split(lower(coalesce(col(a).cast("string"), lit(""))), "\\s+")).as("token"))
+      records.select(explodeTokens(col(a)).as("token"))
         .filter(col("token") =!= "")
     }.reduce(_ union _).distinct()
   }
+
+  /** One row per whitespace-separated token of a column's lower-cased
+    * string value. A null or empty value yields one empty token and leading
+    * whitespace an empty first token, which callers filter out. Shared with
+    * token blocking.
+    */
+  private[repro] def explodeTokens(c: Column): Column =
+    explode(split(lower(coalesce(c.cast("string"), lit(""))), "\\s+"))
 
   /** Vocabulary similarity (VS): Jaccard coefficient of the two datasets'
     * vocabularies (Section 3.1.3).

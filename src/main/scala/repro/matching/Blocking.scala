@@ -1,22 +1,25 @@
 package repro.matching
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+
+import repro.core.Profiling
 
 /** Candidate generation via token blocking (Frost pipeline step 2,
   * Section 1.2): records sharing a blocking token become candidate pairs.
   * Oversized blocks (stop-word tokens) are dropped via `maxBlockSize` —
-  * the standard guard against quadratic blow-up.
+  * the standard guard against quadratic blow-up. Tokens shorter than three
+  * characters (articles, initials) never form blocks.
   */
 object Blocking {
+
+  private val shortestToken = 3
 
   /** Token blocking over the given attributes.
     *
     * @param records      DataFrame with `id` + string attributes
     * @param attrs        attributes contributing blocking tokens
     * @param maxBlockSize drop blocks with more members than this
-    * @param minTokenLen  ignore very short tokens (articles, initials)
     * @param knownVocab   if set, only these tokens may form blocks — models a
     *                     solution whose candidate generation was trained on a
     *                     specific vocabulary (out-of-vocabulary tokens are
@@ -27,7 +30,6 @@ object Blocking {
       records: DataFrame,
       attrs: Seq[String],
       maxBlockSize: Int = 50,
-      minTokenLen: Int = 3,
       knownVocab: Option[Set[String]] = None,
   ): DataFrame = {
     require(attrs.nonEmpty, "need at least one blocking attribute")
@@ -36,8 +38,8 @@ object Blocking {
     }
     val keyed = attrs.map { a =>
       val tokens = records
-        .select(col("id"), explode(split(lower(coalesce(col(a).cast("string"), lit(""))), "\\s+")).as("token"))
-        .filter(length(col("token")) >= minTokenLen)
+        .select(col("id"), Profiling.explodeTokens(col(a)).as("token"))
+        .filter(length(col("token")) >= shortestToken)
       isKnown.fold(tokens)(f => tokens.filter(f(col("token"))))
     }.reduce(_ union _).distinct()
 
@@ -48,20 +50,6 @@ object Blocking {
     val r = pruned.select(col("token").as("token2"), col("id").as("b"))
     l.join(r, l("token") === r("token2") && col("a") < col("b"))
       .select(col("a"), col("b"))
-      .distinct()
-  }
-
-  /** Sorted-neighbourhood candidate generation: records sorted by a key
-    * expression; every pair within `windowSize` positions is a candidate.
-    */
-  def sortedNeighbourhood(records: DataFrame, keyCol: String, windowSize: Int = 5): DataFrame = {
-    require(windowSize >= 2, "window must span at least 2 records")
-    val w = Window.orderBy(col(keyCol))
-    val ranked = records.select(col("id"), col(keyCol)).withColumn("pos", row_number().over(w))
-    val l = ranked.select(col("id").as("a"), col("pos").as("pa"))
-    val r = ranked.select(col("id").as("b"), col("pos").as("pb"))
-    l.join(r, col("pb") > col("pa") && col("pb") <= col("pa") + (windowSize - 1))
-      .select(least(col("a"), col("b")).as("a"), greatest(col("a"), col("b")).as("b"))
       .distinct()
   }
 }

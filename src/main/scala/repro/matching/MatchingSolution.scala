@@ -1,30 +1,8 @@
 package repro.matching
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.graph.ConnectedComponents
-
-/** A matching solution: dataset → scored candidate pairs (Frost, Section
-  * 1.2, steps 2–4). The pipeline is blocking → per-attribute similarity →
-  * weighted decision score; `matches(threshold)` applies the decision and
-  * `clustering` transitively closes the matches into an experiment.
-  */
-trait MatchingSolution {
-  def name: String
-
-  /** Scored candidate pairs: (a, b, score) with score in [0, 1]. */
-  def score(records: DataFrame): DataFrame
-
-  /** Pairs whose score passes the threshold. */
-  def matches(records: DataFrame, threshold: Double): DataFrame =
-    score(records).filter(col("score") >= threshold).select(col("a"), col("b"), col("score"))
-
-  /** Experiment clustering (id, cluster): transitive closure of the matches. */
-  def clustering(spark: SparkSession, records: DataFrame, threshold: Double): DataFrame = {
-    val edges = matches(records, threshold).select(col("a").as("src"), col("b").as("dst"))
-    ConnectedComponents.closure(records, edges)
-  }
-}
 
 /** How one attribute contributes to a weighted rule score. */
 final case class AttributeRule(attr: String, weight: Double, measure: String = "jaccard") {
@@ -41,11 +19,17 @@ final case class AttributeRule(attr: String, weight: Double, measure: String = "
   }
 }
 
-/** Rule-based matcher: weighted mean of per-attribute similarities over
-  * token-blocked candidates. When both values of an attribute are null the
-  * attribute is excluded from the weighted mean (it carries no signal);
-  * a null on one side scores 0 — missing data hurts, which is exactly the
-  * "material mismatch" mechanism of Frost Section 4.5.2.
+/** A matching solution: dataset → scored candidate pairs (Frost, Section
+  * 1.2, steps 2–4). The pipeline is token blocking → per-attribute
+  * similarity → weighted decision score; `matches(threshold)` applies the
+  * decision and `clustering` transitively closes the matches into an
+  * experiment.
+  *
+  * The score is the weighted mean of the per-attribute similarities. When
+  * both values of an attribute are null the attribute is excluded from the
+  * weighted mean (it carries no signal); a null on one side scores 0 —
+  * missing data hurts, which is exactly the "material mismatch" mechanism
+  * of Frost Section 4.5.2.
   *
   * With `knownVocab` set, token Jaccard is [[Similarity.tokenJaccardKnown]]
   * (shared out-of-vocabulary tokens count half); without it, plain
@@ -57,7 +41,7 @@ final case class WeightedRuleMatcher(
     blockingAttrs: Seq[String],
     maxBlockSize: Int = 50,
     knownVocab: Option[Set[String]] = None,
-) extends MatchingSolution {
+) {
   require(rules.nonEmpty && rules.exists(_.weight > 0), "need at least one weighted rule")
   require(rules.map(_.attr).distinct.size == rules.size,
     s"one rule per attribute, got ${rules.map(_.attr).mkString(", ")}")
@@ -86,9 +70,20 @@ final case class WeightedRuleMatcher(
     joined.select(col("a") +: col("b") +: simCols: _*)
   }
 
-  override def score(records: DataFrame): DataFrame =
+  /** Scored candidate pairs: (a, b, score) with score in [0, 1]. */
+  def score(records: DataFrame): DataFrame =
     similarities(records).select(col("a"), col("b"),
       WeightedRuleMatcher.weightedScore(rules.map(r => r.attr -> r.weight)).as("score"))
+
+  /** Pairs whose score passes the threshold. */
+  def matches(records: DataFrame, threshold: Double): DataFrame =
+    score(records).filter(col("score") >= threshold).select(col("a"), col("b"), col("score"))
+
+  /** Experiment clustering (id, cluster): transitive closure of the matches. */
+  def clustering(records: DataFrame, threshold: Double): DataFrame = {
+    val edges = matches(records, threshold).select(col("a").as("src"), col("b").as("dst"))
+    ConnectedComponents.closure(records, edges)
+  }
 }
 
 object WeightedRuleMatcher {
@@ -101,27 +96,5 @@ object WeightedRuleMatcher {
     val num = weights.map { case (at, w) => lit(w) * col(s"sim_$at") }.reduce(_ + _)
     val den = weights.map { case (at, w) => lit(w) * col(s"act_$at") }.reduce(_ + _)
     when(den > 0, num / den).otherwise(lit(0.0))
-  }
-}
-
-/** Baseline matcher: plain token-Jaccard over the concatenation of the
-  * given attributes — the robust "bag of tokens" approach.
-  */
-final case class TokenJaccardMatcher(
-    name: String,
-    attrs: Seq[String],
-    blockingAttrs: Seq[String],
-    maxBlockSize: Int = 50,
-) extends MatchingSolution {
-
-  override def score(records: DataFrame): DataFrame = {
-    val candidates = Blocking.tokenBlocking(records, blockingAttrs, maxBlockSize)
-    val concatCol = concat_ws(" ", attrs.map(a => coalesce(col(a).cast("string"), lit(""))): _*)
-    val slim = records.select(col("id"), concatCol.as("blob"))
-    val left  = slim.select(col("id").as("a"), col("blob").as("la"))
-    val right = slim.select(col("id").as("b"), col("blob").as("rb"))
-    candidates.join(left, Seq("a")).join(right, Seq("b"))
-      .withColumn("score", Similarity.tokenJaccardCol(col("la"), col("rb")))
-      .select(col("a"), col("b"), col("score"))
   }
 }

@@ -51,18 +51,6 @@ object Similarity {
     prev(b.length)
   }
 
-  /** Column expression: Jaccard of whitespace token sets of two string
-    * columns (null- and empty-safe, returns 0.0 then).
-    */
-  def tokenJaccardCol(a: Column, b: Column): Column = {
-    def toks(c: Column): Column =
-      array_distinct(filter(split(lower(coalesce(c.cast("string"), lit(""))), "\\s+"), t => t =!= ""))
-    val ta = toks(a); val tb = toks(b)
-    val inter = size(array_intersect(ta, tb))
-    val union = size(ta) + size(tb) - inter
-    when(union > 0, inter.cast("double") / union.cast("double")).otherwise(lit(0.0))
-  }
-
   /** Column expression: Levenshtein similarity of two string columns. */
   def levenshteinSimCol(a: Column, b: Column): Column = {
     val la = lower(a.cast("string")); val lb = lower(b.cast("string"))

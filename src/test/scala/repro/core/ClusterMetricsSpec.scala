@@ -79,8 +79,18 @@ class ClusterMetricsSpec extends AnyFunSuite {
   }
 
   test("GMD rejects mismatched lengths") {
-    assertThrows[IllegalArgumentException](
-      ClusterMetrics.generalizedMergeDistance(Array(0), Array(0, 1)))
+    val metrics: Seq[(String, (Array[Int], Array[Int]) => Any)] = Seq(
+      ("closestClusterPrecision", ClusterMetrics.closestClusterPrecision(_, _)),
+      ("closestClusterRecall", ClusterMetrics.closestClusterRecall(_, _)),
+      ("closestClusterF1", ClusterMetrics.closestClusterF1(_, _)),
+      ("variationOfInformation", ClusterMetrics.variationOfInformation(_, _)),
+      ("generalizedMergeDistance", ClusterMetrics.generalizedMergeDistance(_, _)),
+      ("fromClusterings", ConfusionMatrix.fromClusterings(_, _)),
+    )
+    for ((name, metric) <- metrics) {
+      val e = intercept[IllegalArgumentException](metric(Array(0), Array(0, 1)))
+      assert(e.getMessage.contains("exp has 1, gold has 2"), s"$name: ${e.getMessage}")
+    }
   }
 
   for (seed <- 1 to 5) {

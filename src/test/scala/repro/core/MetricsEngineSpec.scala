@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
@@ -9,6 +11,15 @@ class MetricsEngineSpec extends SparkSpec {
 
   private def asDf(arr: Array[Int]) =
     arr.zipWithIndex.map { case (c, i) => (i.toLong, c.toLong) }.toSeq.toDF("id", "cluster")
+
+  /** One row per (ecluster, gcluster) of the intersection clustering with
+    * its C(n, 2) pair contribution: the DataFrame form of the true
+    * positives, checked against DuckDB below.
+    */
+  private def intersectionPairContributions(exp: DataFrame, gold: DataFrame): DataFrame =
+    ClusteringOps.intersection(exp, gold)
+      .groupBy(col("ecluster"), col("gcluster"))
+      .agg(expr("count(1) * (count(1) - 1) / 2").cast("long").as("pairs"))
 
   test("confusionMatrix on identical clusterings") {
     val c = Array(0, 0, 1, 1, 2)
@@ -62,7 +73,7 @@ class MetricsEngineSpec extends SparkSpec {
     val gold = asDf(Array.fill(n)(rnd.nextInt(8))).withColumnRenamed("cluster", "gcluster")
       .withColumnRenamed("id", "gid")
     val goldNormalized = gold.select($"gid".as("id"), $"gcluster".as("cluster"))
-    val sparkSide = MetricsEngine.intersectionPairContributions(exp, goldNormalized)
+    val sparkSide = intersectionPairContributions(exp, goldNormalized)
     Oracle.assertEquivalent(
       sparkSide,
       """SELECT e.cluster AS ecluster, g.cluster AS gcluster,

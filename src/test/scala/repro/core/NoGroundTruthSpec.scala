@@ -9,24 +9,24 @@ class NoGroundTruthSpec extends SparkSpec {
 
   test("missingClosurePairs is 0 for a transitively closed match set") {
     val matches = Seq((0L, 1L), (1L, 2L), (0L, 2L)).toDF("a", "b")
-    assert(NoGroundTruth.missingClosurePairs(spark, records(5), matches) == 0)
+    assert(NoGroundTruth.missingClosurePairs(records(5), matches) == 0)
   }
 
   test("missingClosurePairs counts the pairs a closure would add") {
     val matches = Seq((0L, 1L), (1L, 2L)).toDF("a", "b") // closure adds (0,2)
-    assert(NoGroundTruth.missingClosurePairs(spark, records(5), matches) == 1)
+    assert(NoGroundTruth.missingClosurePairs(records(5), matches) == 1)
   }
 
   test("missingClosurePairs grows with chain length (inconsistency signal)") {
     val chain4 = Seq((0L, 1L), (1L, 2L), (2L, 3L)).toDF("a", "b") // closure adds 3
     val chain3 = Seq((0L, 1L), (1L, 2L)).toDF("a", "b")           // closure adds 1
-    assert(NoGroundTruth.missingClosurePairs(spark, records(6), chain4) >
-      NoGroundTruth.missingClosurePairs(spark, records(6), chain3))
+    assert(NoGroundTruth.missingClosurePairs(records(6), chain4) >
+      NoGroundTruth.missingClosurePairs(records(6), chain3))
   }
 
   test("missingClosurePairs dedups and canonicalizes proposed matches first") {
     val matches = Seq((1L, 0L), (0L, 1L), (1L, 2L)).toDF("a", "b")
-    assert(NoGroundTruth.missingClosurePairs(spark, records(4), matches) == 1)
+    assert(NoGroundTruth.missingClosurePairs(records(4), matches) == 1)
   }
 
   test("consensusDeviation: unanimous experiments deviate zero") {

@@ -41,10 +41,10 @@ class BlockingSpec extends SparkSpec {
 
   test("short tokens are ignored") {
     val recs = Seq((0L, "ab cdef"), (1L, "ab cdef")).toDF("id", "name")
-    val withShort = pairs(Blocking.tokenBlocking(recs, Seq("name"), 10, minTokenLen = 3))
+    val withShort = pairs(Blocking.tokenBlocking(recs, Seq("name"), 10))
     assert(withShort == Set((0L, 1L))) // via cdef, not ab
     val onlyShort = Seq((0L, "ab"), (1L, "ab")).toDF("id", "name")
-    assert(pairs(Blocking.tokenBlocking(onlyShort, Seq("name"), 10, minTokenLen = 3)).isEmpty)
+    assert(pairs(Blocking.tokenBlocking(onlyShort, Seq("name"), 10)).isEmpty)
   }
 
   test("pairs are canonical (a < b) and distinct") {
@@ -68,22 +68,5 @@ class BlockingSpec extends SparkSpec {
     val restricted = pairs(Blocking.tokenBlocking(recs, Seq("name"), 10,
       knownVocab = Some(Set("gamma"))))
     assert(restricted == Set((0L, 2L))) // alpha is out-of-vocabulary now
-  }
-
-  test("sortedNeighbourhood pairs records within the window") {
-    val recs = Seq((10L, "a"), (11L, "b"), (12L, "c"), (13L, "d")).toDF("id", "k")
-    val got = pairs(Blocking.sortedNeighbourhood(recs, "k", windowSize = 2))
-    assert(got == Set((10L, 11L), (11L, 12L), (12L, 13L)))
-  }
-
-  test("sortedNeighbourhood window of 3 adds distance-2 pairs") {
-    val recs = Seq((10L, "a"), (11L, "b"), (12L, "c")).toDF("id", "k")
-    val got = pairs(Blocking.sortedNeighbourhood(recs, "k", windowSize = 3))
-    assert(got == Set((10L, 11L), (11L, 12L), (10L, 12L)))
-  }
-
-  test("sortedNeighbourhood validates the window") {
-    assertThrows[IllegalArgumentException](
-      Blocking.sortedNeighbourhood(records, "name", windowSize = 1))
   }
 }

@@ -16,45 +16,34 @@ class MatchingSolutionSpec extends SparkSpec {
     (5L, "zenbook flip", null.asInstanceOf[String]),
   ).toDF("id", "name", "cpu")
 
-  private val jaccardMatcher = TokenJaccardMatcher("tj", Seq("name", "cpu"), Seq("name", "cpu"))
-
   private val ruleMatcher = WeightedRuleMatcher(
     "wr",
     Seq(AttributeRule("name", 2.0, "jaccard"), AttributeRule("cpu", 1.0, "jaccard")),
     blockingAttrs = Seq("name", "cpu"),
   )
 
-  test("token jaccard matcher scores duplicates above non-duplicates") {
-    val scored = jaccardMatcher.score(records).as[(Long, Long, Double)].collect()
-      .map { case (a, b, s) => (a, b) -> s }.toMap
-    assert(scored((0L, 1L)) > 0.6)
-    assert(scored((2L, 3L)) > 0.5)
-    scored.filterKeys(k => !Set((0L, 1L), (2L, 3L)).contains(k))
-      .values.foreach(s => assert(s < 0.5))
-  }
-
   test("scores are in [0, 1]") {
-    val all = jaccardMatcher.score(records).select("score").as[Double].collect() ++
-      ruleMatcher.score(records).select("score").as[Double].collect()
+    val all = ruleMatcher.score(records).select("score").as[Double].collect()
+    assert(all.nonEmpty)
     all.foreach(s => assert(s >= 0.0 && s <= 1.0))
   }
 
   test("matches applies the threshold inclusively") {
-    val scored = jaccardMatcher.score(records).as[(Long, Long, Double)].collect()
+    val scored = ruleMatcher.score(records).as[(Long, Long, Double)].collect()
     val t = scored.map(_._3).max
-    val got = jaccardMatcher.matches(records, t).as[(Long, Long, Double)].collect()
+    val got = ruleMatcher.matches(records, t).as[(Long, Long, Double)].collect()
     assert(got.nonEmpty)
     got.foreach { case (_, _, s) => assert(s >= t) }
   }
 
   test("raising the threshold never adds matches (monotonicity)") {
-    val low = jaccardMatcher.matches(records, 0.3).count()
-    val high = jaccardMatcher.matches(records, 0.7).count()
+    val low = ruleMatcher.matches(records, 0.0).count()
+    val high = ruleMatcher.matches(records, 0.7).count()
     assert(high <= low)
   }
 
   test("clustering transitively closes the matches") {
-    val clustering = jaccardMatcher.clustering(spark, records, 0.5)
+    val clustering = ruleMatcher.clustering(records, 0.5)
     val byId = clustering.as[(Long, Long)].collect().toMap
     assert(byId(0L) == byId(1L))
     assert(byId(2L) == byId(3L))
@@ -119,8 +108,8 @@ class MatchingSolutionSpec extends SparkSpec {
       (4L, "solo record gammathree"),
     ).toDF("id", "name")
     val gold = Seq((0L, 0L), (1L, 0L), (2L, 1L), (3L, 1L), (4L, 2L)).toDF("id", "cluster")
-    val m = TokenJaccardMatcher("p", Seq("name"), Seq("name"))
-    val clustering = m.clustering(spark, recs, 0.99)
+    val m = WeightedRuleMatcher("p", Seq(AttributeRule("name", 1.0)), Seq("name"))
+    val clustering = m.clustering(recs, 0.99)
     val cm = MetricsEngine.confusionMatrix(clustering, gold, 5)
     assert(repro.core.PairMetrics.f1(cm) == 1.0)
   }
