@@ -1,0 +1,31 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.StructType
+
+/** DataFrames over rows built on the driver.
+  *
+  * `createDataFrame` or `toDF` on a local collection makes a `LocalRelation`,
+  * whose scan parallelizes the rows themselves: every task that scans the
+  * frame, or a cache of it, carries its slice of the rows, serialized by the
+  * driver and deserialized by the task. Here the rows are broadcast once and
+  * each task carries only a range of indices. The ranges are cut at the same
+  * boundaries as the local scan's slices, so each partition holds the same
+  * rows in the same order. The broadcast is cleaned up with the frame's RDD
+  * once neither is reachable.
+  */
+private[repro] object DriverFrames {
+
+  /** A DataFrame of the rows `row(0)`, ..., `row(n - 1)` with `schema`, in
+    * `min(n, defaultParallelism)` partitions (one when `n` is 0). `row` is
+    * broadcast with what it captures, and primitive arrays serialize many
+    * times faster than the same values in `Row`s, so a caller whose columns
+    * are numbers should capture arrays and build each `Row` in `row`.
+    */
+  def apply(spark: SparkSession, n: Int, schema: StructType)(row: Int => Row): DataFrame = {
+    val sc = spark.sparkContext
+    val shared = sc.broadcast(row)
+    val slices = math.min(math.max(n, 1), sc.defaultParallelism)
+    spark.createDataFrame(sc.parallelize(0 until n, slices).map(i => shared.value(i)), schema)
+  }
+}

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 
 /** Error analysis (Frost, Sections 4.4, 4.5.2, 4.5.3): explain
   * misclassifications via similar correctly-classified pairs and via the
@@ -71,7 +72,6 @@ object ErrorAnalysis {
       falseName: String,
       ratioName: String,
   ): DataFrame = {
-    val spark = pairs.sparkSession
     val left  = records.select((col("id").as("a") +: attrs.map(c => col(c).as(s"la_$c"))).toSeq: _*)
     val right = records.select((col("id").as("b") +: attrs.map(c => col(c).as(s"rb_$c"))).toSeq: _*)
     val joined = pairs.join(left, Seq("a")).join(right, Seq("b")).cache()
@@ -83,10 +83,14 @@ object ErrorAnalysis {
       ).collect()(0)
       val cnt = agg.getAs[Long]("cnt")
       val falseCnt = Rows.long(agg, 1)
-      (a, cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
+      Row(a, cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
     }
     joined.unpersist()
-    import spark.implicits._
-    rows.toDF("attribute", countName, falseName, ratioName)
+    val schema = StructType(Seq(
+      StructField("attribute", StringType),
+      StructField(countName, LongType, nullable = false),
+      StructField(falseName, LongType, nullable = false),
+      StructField(ratioName, DoubleType, nullable = false)))
+    DriverFrames(pairs.sparkSession, rows.length, schema)(rows(_))
   }
 }

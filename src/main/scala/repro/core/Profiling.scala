@@ -21,13 +21,14 @@ object Profiling {
   }
 
   /** Textuality (TX): average number of whitespace-separated words per
-    * non-null attribute value (Primpeli & Bizer).
+    * attribute value that has any (Primpeli & Bizer). Null, empty and
+    * whitespace-only values have no words and are left out.
     */
   def textuality(records: DataFrame, attrs: Seq[String]): Double = {
     require(attrs.nonEmpty, "need at least one attribute")
     val perAttr = attrs.map { a =>
       records.filter(col(a).isNotNull)
-        .select(size(split(trim(col(a).cast("string")), "\\s+")).as("words"))
+        .select(size(array_remove(split(col(a).cast("string"), "\\s+"), "")).as("words"))
     }
     val all = perAttr.reduce(_ union _).filter(col("words") > 0)
     Rows.double(all.agg(avg(col("words")).as("tx")).collect()(0), 0)

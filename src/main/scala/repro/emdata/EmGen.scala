@@ -6,6 +6,8 @@ import scala.util.Random
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
+import repro.core.DriverFrames
+
 /** Generator for dirty entity-matching datasets with gold standard.
   *
   * Stands in for the paper's benchmark datasets (SIGMOD contest notebooks,
@@ -117,7 +119,7 @@ object EmGen {
     }
 
     val gold = new Array[Int](spec.nRecords)
-    val rows = new mutable.ArrayBuffer[Row](spec.nRecords)
+    val values = new Array[Array[String]](spec.nRecords)
     var recId = 0
     var clusterId = 0
 
@@ -129,7 +131,7 @@ object EmGen {
         var s = 0
         while (s < size) {
           gold(recId) = clusterId
-          rows += Row.fromSeq(recId.toLong +: clusterId.toLong +: entity.map { case (a, v) => corrupt(v, a) })
+          values(recId) = entity.map { case (a, v) => corrupt(v, a) }.toArray
           recId += 1; s += 1
         }
         clusterId += 1; c += 1
@@ -139,7 +141,7 @@ object EmGen {
     while (recId < spec.nRecords) {
       val entity = spec.attrs.map(a => (a, drawValue(a)))
       gold(recId) = clusterId
-      rows += Row.fromSeq(recId.toLong +: clusterId.toLong +: entity.map { case (a, v) => corrupt(v, a) })
+      values(recId) = entity.map { case (a, v) => corrupt(v, a) }.toArray
       recId += 1; clusterId += 1
     }
 
@@ -148,8 +150,9 @@ object EmGen {
         StructField("cluster", LongType, nullable = false) +:
         spec.attrs.map(a => StructField(a.name, StringType, nullable = true))
     )
-    import scala.jdk.CollectionConverters._
-    val records = spark.createDataFrame(rows.asJava, schema)
+    val records = DriverFrames(spark, spec.nRecords, schema) { i =>
+      Row.fromSeq(i.toLong +: gold(i).toLong +: values(i).toSeq)
+    }
     val goldDf = records.select("id", "cluster")
 
     EmDataset(spec, records, goldDf, gold, labeledPairs(spark, spec, gold, rnd))
@@ -159,7 +162,7 @@ object EmGen {
     * non-duplicate pairs so that positives / total = spec.positiveRatio.
     */
   private def labeledPairs(spark: SparkSession, spec: EmSpec, gold: Array[Int], rnd: Random): DataFrame = {
-    val positives = mutable.ArrayBuffer.empty[(Long, Long, Boolean)]
+    val positives = mutable.ArrayBuffer.empty[(Long, Long)]
     // Members per duplicate cluster are contiguous by construction.
     var base = 0
     spec.dupClusters.foreach { case (size, count) =>
@@ -168,7 +171,7 @@ object EmGen {
         var i = 0
         while (i < size) {
           var j = i + 1
-          while (j < size) { positives += (((base + i).toLong, (base + j).toLong, true)); j += 1 }
+          while (j < size) { positives += (((base + i).toLong, (base + j).toLong)); j += 1 }
           i += 1
         }
         base += size; c += 1
@@ -186,8 +189,13 @@ object EmGen {
       }
     }
     require(negatives.size == nNeg, s"${spec.name}: could not sample $nNeg negative pairs")
-    import spark.implicits._
-    (positives.toSeq ++ negatives.iterator.map { case (a, b) => (a, b, false) }.toSeq)
-      .toDF("a", "b", "label")
+    val pairs = positives ++ negatives
+    val (a, b) = (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    val nPositive = positives.size
+    val schema = StructType(Seq(
+      StructField("a", LongType, nullable = false),
+      StructField("b", LongType, nullable = false),
+      StructField("label", BooleanType, nullable = false)))
+    DriverFrames(spark, a.length, schema)(i => Row(a(i), b(i), i < nPositive))
   }
 }

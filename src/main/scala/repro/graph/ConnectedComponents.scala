@@ -1,8 +1,10 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
+import repro.core.DriverFrames
 import repro.unionfind.UnionFind
 
 /** Connected components over an undirected edge list — the transitive
@@ -37,11 +39,10 @@ object ConnectedComponents {
     */
   def closure(records: DataFrame, edges: DataFrame): DataFrame = {
     val (src, dst) = collectEdges(edges, maxEdges)
-    val labels = components(src, dst)
-    val spark = records.sparkSession
-    import spark.implicits._
+    val (ids, minima) = components(src, dst)
+    val labels = DriverFrames(records.sparkSession, ids.length, labelSchema)(i => Row(ids(i), minima(i)))
     records.select(col("id"))
-      .join(labels.toSeq.toDF("id", "ccluster"), Seq("id"), "left")
+      .join(labels, Seq("id"), "left")
       .select(col("id"), coalesce(col("ccluster"), col("id")).as("cluster"))
   }
 
@@ -67,8 +68,12 @@ object ConnectedComponents {
     (src, dst)
   }
 
-  /** (id, component minimum ID) for every endpoint of the edges. */
-  private def components(src: Array[Long], dst: Array[Long]): Array[(Long, Long)] = {
+  private val labelSchema = StructType(Seq(
+    StructField("id", LongType, nullable = false),
+    StructField("ccluster", LongType, nullable = false)))
+
+  /** Every endpoint ID of the edges, ascending, and its component's minimum ID. */
+  private def components(src: Array[Long], dst: Array[Long]): (Array[Long], Array[Long]) = {
     val ids = (src ++ dst).sorted.distinct
     def dense(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
     val uf = new UnionFind(ids.length)
@@ -76,10 +81,11 @@ object ConnectedComponents {
     while (k < src.length) { uf.union(dense(src(k)), dense(dst(k))); k += 1 }
     // IDs ascend, so the first member seen of each component is its minimum.
     val minOf = Array.fill(ids.length)(-1)
-    Array.tabulate(ids.length) { i =>
+    val minima = Array.tabulate(ids.length) { i =>
       val root = uf.find(i)
       if (minOf(root) < 0) minOf(root) = i
-      (ids(i), ids(minOf(root)))
+      ids(minOf(root))
     }
+    (ids, minima)
   }
 }

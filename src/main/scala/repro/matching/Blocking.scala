@@ -33,8 +33,11 @@ object Blocking {
       knownVocab: Option[Set[String]] = None,
   ): DataFrame = {
     require(attrs.nonEmpty, "need at least one blocking attribute")
+    // Broadcast, so that a task reading a table built on the blocks does not
+    // carry and deserialize the vocabulary.
     val isKnown = knownVocab.map { vocab =>
-      udf((t: String) => vocab.contains(t))
+      val known = records.sparkSession.sparkContext.broadcast(vocab)
+      udf((t: String) => known.value.contains(t))
     }
     val keyed = attrs.map { a =>
       val tokens = records

@@ -92,22 +92,23 @@ object Similarity {
     * its tokens looked up in a driver dictionary of the distinct tokens of
     * `attrs` over `records` (one Spark job). Tokens in `vocab` get IDs >= 0,
     * the others IDs < 0; with no vocabulary every token counts as known. A
-    * null value encodes to null. The dictionary travels in the UDF's closure.
+    * null value encodes to null. The dictionary is broadcast once and the UDF
+    * captures only its handle, so the tasks that read a table computed
+    * through the encoder, including scans of a cached one, do not carry it.
     */
   def tokenEncoder(records: DataFrame, attrs: Seq[String], vocab: Option[Set[String]]): UserDefinedFunction = {
     require(attrs.nonEmpty, "need at least one attribute to encode")
     val tokensOf = udf((s: String) => tokens(s).toArray)
     val distinct = attrs.map(a => records.select(explode(tokensOf(col(a))).as("token")))
       .reduce(_ union _).distinct().collect().map(_.getString(0))
-    val dict = dictionary(distinct, vocab)
-    udf((s: String) => encode(s, dict))
+    val dict = records.sparkSession.sparkContext.broadcast(dictionary(distinct, vocab))
+    udf((s: String) => encode(s, dict.value))
   }
 
   /** Token -> ID over the sorted known tokens (all of them without a
     * vocabulary), numbered from 0 up, and the sorted unknown ones, numbered
-    * from -1 down. Two sorted arrays rather than a hash map: the dictionary
-    * is shipped, and deserialized, with every task that reads a table
-    * computed through the encoder, including scans of a cached table.
+    * from -1 down. Two sorted arrays rather than a hash map, as they
+    * serialize compactly into the broadcast.
     */
   private[matching] final class TokenDictionary(known: Array[String], unknown: Array[String]) extends Serializable {
     def id(t: String): Int = {

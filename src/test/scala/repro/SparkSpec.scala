@@ -1,6 +1,8 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.SparkEnv
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +18,25 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Closure-serialized size in bytes of every partition in the RDD lineage
+    * of `df`: what each task computing it carries besides its stage's binary.
+    */
+  def partitionBytes(df: DataFrame): Seq[Int] = lineage(df).flatMap(_.partitions).map(serializedBytes)
+
+  /** Closure-serialized size in bytes of every RDD in the lineage of `df`,
+    * with its narrow ancestors: what the binary of a stage ending in it
+    * carries, and what each of the stage's tasks deserializes.
+    */
+  def rddBytes(df: DataFrame): Seq[Int] = lineage(df).map(serializedBytes)
+
+  /** The RDDs `df` is computed from, the map sides of its shuffles included. */
+  private def lineage(df: DataFrame): Seq[RDD[_]] = {
+    def walk(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => walk(d.rdd))
+    walk(df.rdd).distinct
+  }
+
+  private def serializedBytes(o: AnyRef): Int = SparkEnv.get.closureSerializer.newInstance().serialize(o).limit()
 }
 
 object SparkSpec {

@@ -27,6 +27,11 @@ class ProfilingSpec extends SparkSpec {
     assert(math.abs(Profiling.textuality(records, Seq("name", "tag")) - 10.0 / 6) < 1e-9)
   }
 
+  test("textuality leaves out empty and whitespace-only values") {
+    val v = Seq("a b", "", "   ", null).toDF("v")
+    assert(Profiling.textuality(v, Seq("v")) == 2.0)
+  }
+
   test("textuality of empty input is 0") {
     val empty = Seq.empty[(Long, String)].toDF("id", "v")
     assert(Profiling.textuality(empty, Seq("v")) == 0.0)

@@ -111,6 +111,14 @@ class EmGenSpec extends SparkSpec {
       ds.records.collect().map(_.toString).sorted))
   }
 
+  test("no task carries the generated rows (4,000 records)") {
+    val big = EmGen.generate(spark, DatasetSpecs.tiny(n = 4000, seed = 21))
+    for ((name, df) <- Seq("records" -> big.records, "gold" -> big.gold, "labeledPairs" -> big.labeledPairs)) {
+      val bytes = partitionBytes(df)
+      assert(bytes.max < 16 * 1024, s"$name: partition sizes ${bytes.mkString(", ")} bytes")
+    }
+  }
+
   test("spec validation: oversized duplicate demand is rejected") {
     assertThrows[IllegalArgumentException](
       spec.copy(nRecords = 10, dupClusters = Seq((5, 10))))

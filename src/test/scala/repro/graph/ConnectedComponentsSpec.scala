@@ -43,14 +43,14 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(c(0) != c(3))
   }
 
-  test("long path converges within maxIter (diameter test)") {
+  test("a 40-record path closes into one component") {
     val n = 40
     val edges = (1 until n).map(i => ((i - 1).toLong, i.toLong))
     val c = clustersOf(ConnectedComponents.closure(records(n), edgesDf(edges: _*)))
     assert(c.values.toSet.size == 1)
   }
 
-  test("star graph converges in one round") {
+  test("a star closes to its centre's label") {
     val edges = (1L to 10L).map(i => (0L, i))
     val c = clustersOf(ConnectedComponents.closure(records(11), edgesDf(edges: _*)))
     assert(c.values.toSet == Set(0L))
@@ -95,6 +95,13 @@ class ConnectedComponentsSpec extends SparkSpec {
     val minOf = (0 until n).groupBy(uf.find).map { case (root, members) => root -> members.min.toLong }
     val c = clustersOf(ConnectedComponents.closure(records(n), edgesDf(pairs: _*)))
     (0 until n).foreach(i => assert(c(i.toLong) == minOf(uf.find(i)), s"record $i"))
+  }
+
+  test("no task carries the label table (20,000 labels)") {
+    val n = 20000
+    val edges = (1 until n).map(i => ((i - 1).toLong, i.toLong))
+    val bytes = partitionBytes(ConnectedComponents.closure(records(n), edgesDf(edges: _*)))
+    assert(bytes.max < 16 * 1024, s"partition sizes ${bytes.mkString(", ")} bytes")
   }
 
   test("an edge with a null endpoint fails, naming the edge") {

@@ -139,6 +139,20 @@ class MatchingSolutionSpec extends SparkSpec {
     }
   }
 
+  test("no stage of the similarity table carries the vocabulary or token dictionary") {
+    // 21,000 distinct record tokens and a 101,000-token vocabulary: either
+    // one in a closure is hundreds of KiB more than the plan's own closures
+    // (about 140 KiB). Each "grp" token blocks 4 records.
+    val many = spark.range(4000).selectExpr("id",
+      "concat_ws(' ', concat('grp', id % 1000), transform(sequence(0, 4), k -> concat('tok', id * 5 + k))) AS name")
+    val vocab = ((0 until 100000).map(i => s"tok$i") ++ (0 until 1000).map(i => s"grp$i")).toSet
+    val sims = WeightedRuleMatcher("wide", Seq(AttributeRule("name", 1.0)), Seq("name"), knownVocab = Some(vocab))
+      .similarities(many)
+    assert(sims.count() == 6000)
+    val bytes = rddBytes(sims)
+    assert(bytes.max < 256 * 1024, s"RDD sizes ${bytes.mkString(", ")} bytes")
+  }
+
   test("similarity table equals tokenJaccardKnown per attribute, bit for bit") {
     val attrs = Seq("x", "y", "z")
     val values = org.scalacheck.Gen.listOfN(40 * attrs.size, SimilaritySpec.messyString)
