@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** DataFrame helpers for clusterings and pair sets.
@@ -32,7 +32,9 @@ object ClusteringOps {
   }
 
   /** Number of intra-cluster pairs, Σ_c C(|c|, 2), without materializing them. */
-  def pairCount(clustering: DataFrame): Long = groupPairCount(clustering, col("cluster"))
+  def pairCount(clustering: DataFrame): Long =
+    Rows.long(clustering.groupBy(col("cluster")).agg(count(lit(1)).as("n"))
+      .agg(sum(expr("n * (n - 1) / 2"))).collect()(0), 0)
 
   /** Intersection clustering of two clusterings over the same records:
     * (id, cluster = (expCluster, goldCluster) pair key). Returned as
@@ -42,13 +44,4 @@ object ClusteringOps {
     exp.select(col("id"), col("cluster").as("ecluster"))
       .join(gold.select(col("id").as("gid"), col("cluster").as("gcluster")), col("id") === col("gid"))
       .select(col("id"), col("ecluster"), col("gcluster"))
-
-  /** Intra-cluster pair count of the intersection clustering = TP. */
-  def intersectionPairCount(exp: DataFrame, gold: DataFrame): Long =
-    groupPairCount(intersection(exp, gold), col("ecluster"), col("gcluster"))
-
-  /** Σ over the groups of `keys` of C(group size, 2). */
-  private def groupPairCount(df: DataFrame, keys: Column*): Long =
-    Rows.long(df.groupBy(keys: _*).agg(count(lit(1)).as("n"))
-      .agg(sum(expr("n * (n - 1) / 2"))).collect()(0), 0)
 }

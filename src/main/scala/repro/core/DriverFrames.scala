@@ -28,4 +28,15 @@ private[repro] object DriverFrames {
     val slices = math.min(math.max(n, 1), sc.defaultParallelism)
     spark.createDataFrame(sc.parallelize(0 until n, slices).map(i => shared.value(i)), schema)
   }
+
+  /** A DataFrame of the rows of `rows(0)`, ..., `rows(n - 1)`, one
+    * partition each (one empty partition when `n` is 0). `rows` is
+    * broadcast with what it captures, so each task carries only its index
+    * and computes its rows from the shared data.
+    */
+  def flat(spark: SparkSession, n: Int, schema: StructType)(rows: Int => Iterator[Row]): DataFrame = {
+    val sc = spark.sparkContext
+    val shared = sc.broadcast(rows)
+    spark.createDataFrame(sc.parallelize(0 until n, math.max(n, 1)).flatMap(i => shared.value(i)), schema)
+  }
 }

@@ -59,8 +59,7 @@ object Profiling {
 
   /** One row per whitespace-separated token of a column's lower-cased
     * string value. A null or empty value yields one empty token and leading
-    * whitespace an empty first token, which callers filter out. Shared with
-    * token blocking.
+    * whitespace an empty first token, which callers filter out.
     */
   private[repro] def explodeTokens(c: Column): Column =
     explode(split(lower(coalesce(c.cast("string"), lit(""))), "\\s+"))

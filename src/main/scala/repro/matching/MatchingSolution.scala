@@ -1,22 +1,17 @@
 package repro.matching
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+
 import repro.graph.ConnectedComponents
 
-/** How one attribute contributes to a weighted rule score. */
-final case class AttributeRule(attr: String, weight: Double, measure: String = "jaccard") {
+/** How one attribute contributes to a weighted rule score: its weight on
+  * the attribute's token Jaccard.
+  */
+final case class AttributeRule(attr: String, weight: Double) {
   require(weight >= 0, s"negative weight for $attr")
-
-  /** Similarity of two non-null sides; a "jaccard" side is the attribute
-    * encoded by [[Similarity.tokenEncoder]], the others the raw value.
-    */
-  def simCol(l: Column, r: Column): Column = measure match {
-    case "jaccard"     => Similarity.knownJaccardCol(l, r)
-    case "levenshtein" => Similarity.levenshteinSimCol(l, r)
-    case "equality"    => Similarity.equalityCol(l, r)
-    case other         => sys.error(s"unknown measure: $other")
-  }
 }
 
 /** A matching solution: dataset → scored candidate pairs (Frost, Section
@@ -48,26 +43,34 @@ final case class WeightedRuleMatcher(
 
   /** Per-attribute similarity table: candidate pairs (a, b) with, for each
     * rule's attribute, `act_<attr>` (1.0 when either side is non-null, else
-    * 0.0) and `sim_<attr>` (the rule's similarity, 0.0 when either side is
-    * null). Token-Jaccard attributes are tokenized and encoded per record,
-    * before the join with the candidates, so each candidate pair costs one
-    * merge of two ID arrays.
+    * 0.0) and `sim_<attr>` (the vocabulary-discounted token Jaccard, 0.0
+    * when either side is null). One [[TokenIndex]] over `records` encodes
+    * each record once; Spark tasks then emit the candidate pairs of ranges
+    * of its blocks and compute their similarities in the same row, so the
+    * table is computed with no shuffle.
+    *
+    * @throws IllegalArgumentException naming the ID, if a record ID is null
+    *         or appears more than once
     */
   def similarities(records: DataFrame): DataFrame = {
-    val candidates = Blocking.tokenBlocking(records, blockingAttrs, maxBlockSize, knownVocab = knownVocab)
-    lazy val encode = Similarity.tokenEncoder(records, rules.filter(_.measure == "jaccard").map(_.attr), knownVocab)
-    val sides = rules.map(r => if (r.measure == "jaccard") encode(col(r.attr)) else col(r.attr))
-    def side(id: String, prefix: String) =
-      records.select(col("id").as(id) +: rules.zip(sides).map { case (r, c) => c.as(s"$prefix${r.attr}") }: _*)
-    val joined = candidates.join(side("a", "la_"), Seq("a")).join(side("b", "rb_"), Seq("b"))
-    val simCols = rules.flatMap { rule =>
-      val l = col(s"la_${rule.attr}"); val r = col(s"rb_${rule.attr}")
-      Seq(
-        when(l.isNotNull || r.isNotNull, 1.0).otherwise(0.0).as(s"act_${rule.attr}"),
-        when(l.isNull || r.isNull, 0.0).otherwise(rule.simCol(l, r)).as(s"sim_${rule.attr}"),
-      )
+    val attrs = rules.map(_.attr)
+    val index = TokenIndex(records, blockingAttrs, attrs, maxBlockSize, knownVocab)
+    val schema = StructType(Blocking.pairSchema.fields ++ attrs.flatMap(at => Seq(
+      StructField(s"act_$at", DoubleType, nullable = false),
+      StructField(s"sim_$at", DoubleType, nullable = false))))
+    val (ids, encoded) = (index.ids, index.encoded)
+    index.frame(records.sparkSession, schema) { (i, j) =>
+      val values = new Array[Any](2 + 2 * encoded.length)
+      values(0) = ids(i); values(1) = ids(j)
+      var k = 0
+      while (k < encoded.length) {
+        val x = encoded(k)(i); val y = encoded(k)(j)
+        values(2 + 2 * k) = if (x != null || y != null) 1.0 else 0.0
+        values(3 + 2 * k) = if (x == null || y == null) 0.0 else Similarity.knownJaccard(x, y)
+        k += 1
+      }
+      new GenericRow(values)
     }
-    joined.select(col("a") +: col("b") +: simCols: _*)
   }
 
   /** Scored candidate pairs: (a, b, score) with score in [0, 1]. */

@@ -1,11 +1,9 @@
 package repro.matching
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.UserDefinedFunction
-import org.apache.spark.sql.functions._
-
-/** Similarity measures used by the matching solutions (pure Scala versions
-  * for driver-side use plus Column expressions for DataFrame pipelines).
+/** Similarity measures used by the matching solutions: token Jaccard
+  * (plain and vocabulary-discounted) and Levenshtein similarity on strings,
+  * and the vocabulary-discounted Jaccard of two token sets encoded against
+  * one [[TokenDictionary]], which the similarity tables compute.
   */
 object Similarity {
 
@@ -51,19 +49,6 @@ object Similarity {
     prev(b.length)
   }
 
-  /** Column expression: Levenshtein similarity of two string columns. */
-  def levenshteinSimCol(a: Column, b: Column): Column = {
-    val la = lower(a.cast("string")); val lb = lower(b.cast("string"))
-    val maxLen = greatest(length(la), length(lb))
-    when(a.isNull || b.isNull, lit(0.0))
-      .when(maxLen === 0, lit(1.0))
-      .otherwise(lit(1.0) - levenshtein(la, lb).cast("double") / maxLen.cast("double"))
-  }
-
-  /** Column expression: null-aware exact-equality similarity (1/0). */
-  def equalityCol(a: Column, b: Column): Column =
-    when(a.isNotNull && b.isNotNull && a === b, lit(1.0)).otherwise(lit(0.0))
-
   /** Vocabulary-discounted token Jaccard: models a solution whose learned
     * token weights cover only its training vocabulary. Shared tokens the
     * solution knows count fully, shared tokens it does not know count half
@@ -87,43 +72,40 @@ object Similarity {
     }
   }
 
-  /** Encoder of string columns into sorted token-ID arrays for
-    * [[knownJaccardCol]]: each value is tokenized once with [[tokens]] and
-    * its tokens looked up in a driver dictionary of the distinct tokens of
-    * `attrs` over `records` (one Spark job). Tokens in `vocab` get IDs >= 0,
-    * the others IDs < 0; with no vocabulary every token counts as known. A
-    * null value encodes to null. The dictionary is broadcast once and the UDF
-    * captures only its handle, so the tasks that read a table computed
-    * through the encoder, including scans of a cached one, do not carry it.
+  /** Token -> ID over the sorted distinct tokens of a dataset. Known
+    * tokens (all of them without a vocabulary) are numbered from 0 up: the
+    * `blockingKeys` tokens of at least [[Blocking.shortestToken]] code
+    * points first, then the shorter ones. Unknown tokens are numbered from
+    * -1 down. So a token may form a block exactly when its ID is in
+    * `[0, blockingKeys)`, and a shared ID is known exactly when it is >= 0.
+    * Sorted arrays rather than a hash map, as they serialize compactly.
     */
-  def tokenEncoder(records: DataFrame, attrs: Seq[String], vocab: Option[Set[String]]): UserDefinedFunction = {
-    require(attrs.nonEmpty, "need at least one attribute to encode")
-    val tokensOf = udf((s: String) => tokens(s).toArray)
-    val distinct = attrs.map(a => records.select(explode(tokensOf(col(a))).as("token")))
-      .reduce(_ union _).distinct().collect().map(_.getString(0))
-    val dict = records.sparkSession.sparkContext.broadcast(dictionary(distinct, vocab))
-    udf((s: String) => encode(s, dict.value))
-  }
+  private[matching] final class TokenDictionary(long: Array[String], short: Array[String], unknown: Array[String])
+      extends Serializable {
+    def blockingKeys: Int = long.length
 
-  /** Token -> ID over the sorted known tokens (all of them without a
-    * vocabulary), numbered from 0 up, and the sorted unknown ones, numbered
-    * from -1 down. Two sorted arrays rather than a hash map, as they
-    * serialize compactly into the broadcast.
-    */
-  private[matching] final class TokenDictionary(known: Array[String], unknown: Array[String]) extends Serializable {
     def id(t: String): Int = {
-      val k = java.util.Arrays.binarySearch(known.asInstanceOf[Array[AnyRef]], t)
-      if (k >= 0) k
+      val l = find(long, t)
+      if (l >= 0) l
       else {
-        val u = java.util.Arrays.binarySearch(unknown.asInstanceOf[Array[AnyRef]], t)
-        if (u >= 0) -1 - u else throw new IllegalStateException(s"token '$t' is not in the dictionary")
+        val s = find(short, t)
+        if (s >= 0) long.length + s
+        else {
+          val u = find(unknown, t)
+          if (u >= 0) -1 - u else throw new IllegalStateException(s"token '$t' is not in the dictionary")
+        }
       }
     }
+
+    private def find(sorted: Array[String], t: String): Int =
+      java.util.Arrays.binarySearch(sorted.asInstanceOf[Array[AnyRef]], t)
   }
 
   private[matching] def dictionary(distinct: Array[String], vocab: Option[Set[String]]): TokenDictionary = {
     val (known, unknown) = distinct.sorted.partition(t => vocab.forall(_.contains(t)))
-    new TokenDictionary(known, unknown)
+    // Code points, not UTF-16 units, as Spark's `length` counts them.
+    val (long, short) = known.partition(t => t.codePointCount(0, t.length) >= Blocking.shortestToken)
+    new TokenDictionary(long, short, unknown)
   }
 
   /** The sorted IDs of the tokens of `s`; null stays null. */
@@ -150,12 +132,4 @@ object Similarity {
       }
       (inter + knownInter) / (2.0 * (x.length + y.length - inter))
     }
-
-  // Array[Int], not Seq[Int]: a Seq argument boxes every ID.
-  private val knownJaccardUdf = udf((x: Array[Int], y: Array[Int]) => knownJaccard(x, y))
-
-  /** Column expression: [[knownJaccard]] of two non-null columns encoded
-    * by the same [[tokenEncoder]].
-    */
-  def knownJaccardCol(a: Column, b: Column): Column = knownJaccardUdf(a, b)
 }

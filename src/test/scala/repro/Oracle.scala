@@ -67,11 +67,16 @@ object Oracle {
       )
       val got = canon(sparkDf.collect().toSeq, sCols)
       val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      require(got == exp, {
+        // The first sorted row index where the sides differ, and both rows.
+        val i = got.zip(exp).indexWhere { case (g, e) => g != e } match {
+          case -1 => math.min(got.size, exp.size)
+          case k  => k
+        }
+        def rowAt(rows: Seq[Seq[String]]) = rows.lift(i).fold("(no row)")(_.mkString("(", ", ", ")"))
+        s"result mismatch (${got.size} vs ${exp.size} rows): first difference at sorted row $i: " +
+          s"spark ${rowAt(got)}, duckdb ${rowAt(exp)}"
+      })
     } finally conn.close()
   }
 }

@@ -34,5 +34,7 @@ class OracleSpec extends SparkSpec {
       Oracle.assertEquivalent(short, sql, "lineitem" -> lineitem, "orders" -> orders))
     assert(e.getMessage.contains("2 vs 3 rows"), e.getMessage)
     assert(e.getMessage.contains("(4, F)"), e.getMessage) // the missing group: F, 4 rows
+    // Sorted rows (1, P), (3, O), (4, F): the sides first differ at index 2.
+    assert(e.getMessage.contains("first difference at sorted row 2: spark (no row), duckdb (4, F)"), e.getMessage)
   }
 }

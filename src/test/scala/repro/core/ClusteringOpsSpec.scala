@@ -43,15 +43,6 @@ class ClusteringOpsSpec extends SparkSpec {
     assert(got == Set((0L, 1L, 7L), (1L, 1L, 8L), (2L, 2L, 7L)))
   }
 
-  test("intersectionPairCount equals the TP of fromClusterings") {
-    val expArr = Array(0, 0, 0, 1, 1, 2)
-    val goldArr = Array(0, 0, 1, 1, 1, 2)
-    val exp = expArr.zipWithIndex.map { case (c, i) => (i.toLong, c.toLong) }.toSeq.toDF("id", "cluster")
-    val gold = goldArr.zipWithIndex.map { case (c, i) => (i.toLong, c.toLong) }.toSeq.toDF("id", "cluster")
-    val cm = ConfusionMatrix.fromClusterings(expArr, goldArr)
-    assert(ClusteringOps.intersectionPairCount(exp, gold) == cm.tp)
-  }
-
   test("oracle: per-cluster counts match DuckDB") {
     val c = (0L until 50L).map(i => (i, i % 7)).toDF("id", "cluster")
     val sparkSide = c.groupBy($"cluster").agg(count(lit(1)).as("n"))

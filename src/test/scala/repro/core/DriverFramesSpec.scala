@@ -44,4 +44,14 @@ class DriverFramesSpec extends SparkSpec {
     val bytes = partitionBytes(frame(rows(20000)))
     assert(bytes.max < 16 * 1024, s"partition sizes ${bytes.mkString(", ")} bytes")
   }
+
+  test("flat puts the rows of rows(i) in partition i, one empty partition when n is 0") {
+    val all = rows(10)
+    val groups = Seq(0 until 3, 3 until 3, 3 until 10)
+    val df = DriverFrames.flat(spark, groups.size, schema)(i => groups(i).iterator.map(all(_)))
+    assert(df.schema == schema)
+    assert(df.rdd.glom().collect().map(_.toSeq).toSeq == groups.map(_.map(all(_))))
+    val empty = DriverFrames.flat(spark, 0, schema)(_ => Iterator.empty)
+    assert(empty.count() == 0 && empty.rdd.getNumPartitions == 1)
+  }
 }

@@ -34,6 +34,14 @@ class MetricsEngineSpec extends SparkSpec {
     assert(got == ConfusionMatrix.fromClusterings(exp, gold))
   }
 
+  test("confusionMatrix rejects clusterings that do not join on n records, naming both counts") {
+    val c = Array(0, 0, 1, 1, 2)
+    val e = intercept[IllegalArgumentException](MetricsEngine.confusionMatrix(asDf(c), asDf(c.take(4)), 5))
+    assert(e.getMessage.contains("join on 4 records, but n is 5"), e.getMessage)
+    val wrongN = intercept[IllegalArgumentException](MetricsEngine.confusionMatrix(asDf(c), asDf(c), 6))
+    assert(wrongN.getMessage.contains("join on 5 records, but n is 6"), wrongN.getMessage)
+  }
+
   test("confusionMatrix on Figure 10 final state") {
     val exp = Array(0, 0, 0, 0)
     val gold = Array(0, 0, 1, 1)

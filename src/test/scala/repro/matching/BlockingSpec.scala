@@ -1,5 +1,10 @@
 package repro.matching
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+
 import repro.SparkSpec
 
 class BlockingSpec extends SparkSpec {
@@ -68,5 +73,88 @@ class BlockingSpec extends SparkSpec {
     val restricted = pairs(Blocking.tokenBlocking(recs, Seq("name"), 10,
       knownVocab = Some(Set("gamma"))))
     assert(restricted == Set((0L, 2L))) // alpha is out-of-vocabulary now
+  }
+
+  test("tokenBlocking and similarities reject a duplicate record id, naming it") {
+    val recs = Seq((3L, "alpha beta"), (7L, "alpha gamma"), (3L, "alpha delta")).toDF("id", "name")
+    val matcher = WeightedRuleMatcher("d", Seq(AttributeRule("name", 1.0)), Seq("name"))
+    for (run <- Seq(() => Blocking.tokenBlocking(recs, Seq("name"), 10), () => matcher.similarities(recs))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("record id 3 appears more than once"), e.getMessage)
+    }
+  }
+
+  test("tokenBlocking and similarities reject a null record id") {
+    val recs = Seq((Some(1L), "alpha beta"), (None, "alpha gamma")).toDF("id", "name")
+    val matcher = WeightedRuleMatcher("n", Seq(AttributeRule("name", 1.0)), Seq("name"))
+    for (run <- Seq(() => Blocking.tokenBlocking(recs, Seq("name"), 10), () => matcher.similarities(recs))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("null id"), e.getMessage)
+    }
+  }
+
+  test("candidate set equals the Spark reference pipeline (property)") {
+    val prop = Prop.forAll(BlockingSpec.blockingCase) { case BlockingSpec.Case(rows, attrs, maxBlockSize, vocab) =>
+      val recs = rows.toDF("id", "name", "brand")
+      // Sorted sequences, not sets, so a pair emitted twice fails too.
+      def sortedPairs(df: org.apache.spark.sql.DataFrame) = df.as[(Long, Long)].collect().toSeq.sorted
+      val got = sortedPairs(Blocking.tokenBlocking(recs, attrs, maxBlockSize, vocab))
+      val want = sortedPairs(ReferenceBlocking.tokenBlocking(recs, attrs, maxBlockSize, vocab))
+      (got == want) :| s"index-only ${got.diff(want)}, reference-only ${want.diff(got)}"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+}
+
+object BlockingSpec {
+
+  final case class Case(
+      rows: Seq[(Long, String, String)], attrs: Seq[String], maxBlockSize: Int, vocab: Option[Set[String]])
+
+  /** Mixed case, non-ASCII, non-BMP ("😀a" is 2 code points but 3 UTF-16
+    * units, so too short to block) and short tokens.
+    */
+  private val pool = Seq("alpha", "Beta", "GAMMA", "ab", "Zu", "straße", "ÉCOLE", "école", "Жук", "ΟΔΟΣ",
+    "😀a", "😀😀😀", "x😀y", "日本語", "naïve", "NAÏVE")
+
+  private val space: Gen[String] = Gen.oneOf(" ", "  ", "\t", "\n", " \t ")
+
+  private val value: Gen[String] = Gen.frequency(
+    1 -> Gen.const(null: String),
+    1 -> Gen.const(""),
+    1 -> space,
+    6 -> (for {
+      n <- Gen.choose(1, 4)
+      toks <- Gen.listOfN(n, Gen.oneOf(pool))
+      sep <- space
+      lead <- Gen.oneOf("", " ")
+    } yield lead + toks.mkString(sep)),
+  )
+
+  /** Records with distinct, unordered IDs, one or two blocking attributes,
+    * an optional vocabulary, and one block of exactly `maxBlockSize` and one
+    * of `maxBlockSize + 1` members ("edgetok" and "overtok").
+    */
+  val blockingCase: Gen[Case] = for {
+    n <- Gen.choose(3, 24)
+    ids <- Gen.listOfN(n, Gen.choose(-1000L, 1L << 40)).map(_.distinct).suchThat(_.size >= 3)
+    names <- Gen.listOfN(ids.size, value)
+    brands <- Gen.listOfN(ids.size, value)
+    attrs <- Gen.oneOf(Seq("name"), Seq("name", "brand"))
+    maxBlockSize <- Gen.choose(1, ids.size - 1)
+    order <- Gen.pick(ids.size, ids.indices)
+    vocab <- Gen.option(Gen.someOf(pool.map(_.toLowerCase) ++ Seq("edgetok", "overtok")).map(_.toSet))
+  } yield {
+    val edge = order.take(maxBlockSize).toSet
+    val over = order.take(maxBlockSize + 1).toSet
+    def tagged(k: Int, v: String) =
+      Seq(edge(k) -> "EdgeTok", over(k) -> "overtok").collect { case (true, t) => t }.foldLeft(v) {
+        case (null, t) => t
+        case (acc, t)  => s"$acc $t"
+      }
+    val rows = ids.indices.map(k => (ids(k), tagged(k, names(k)), brands(k)))
+    Case(rows, attrs, maxBlockSize, vocab)
   }
 }

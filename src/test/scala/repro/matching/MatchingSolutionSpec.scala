@@ -1,5 +1,8 @@
 package repro.matching
 
+import org.apache.spark.{Dependency, ShuffleDependency}
+import org.apache.spark.rdd.RDD
+
 import repro.SparkSpec
 import repro.core.MetricsEngine
 
@@ -18,7 +21,7 @@ class MatchingSolutionSpec extends SparkSpec {
 
   private val ruleMatcher = WeightedRuleMatcher(
     "wr",
-    Seq(AttributeRule("name", 2.0, "jaccard"), AttributeRule("cpu", 1.0, "jaccard")),
+    Seq(AttributeRule("name", 2.0), AttributeRule("cpu", 1.0)),
     blockingAttrs = Seq("name", "cpu"),
   )
 
@@ -119,24 +122,15 @@ class MatchingSolutionSpec extends SparkSpec {
       WeightedRuleMatcher("z", Seq(AttributeRule("name", 0.0)), Seq("name")))
   }
 
-  test("levenshtein and equality measures are usable in rules") {
-    val recs = Seq(
-      (0L, "thinkpadd", "8gb"),
-      (1L, "thinkpad", "8gb"),
-    ).toDF("id", "name", "ram")
-    val m = WeightedRuleMatcher("le",
-      Seq(AttributeRule("name", 1.0, "levenshtein"), AttributeRule("ram", 1.0, "equality")),
-      Seq("name", "ram"), maxBlockSize = 10)
-    val s = m.score(recs).as[(Long, Long, Double)].collect().head._3
-    val expected = ((1.0 - 1.0 / 9) + 1.0) / 2
-    assert(math.abs(s - expected) < 1e-9)
-  }
-
-  test("unknown measure fails loudly") {
-    assertThrows[RuntimeException] {
-      val m = WeightedRuleMatcher("u", Seq(AttributeRule("name", 1.0, "cosine")), Seq("name"))
-      m.score(records).collect()
+  test("the similarity table and the candidate pairs are computed with no shuffle") {
+    def shuffles(rdd: RDD[_]): Seq[Dependency[_]] = rdd.dependencies.flatMap { d =>
+      (d match { case s: ShuffleDependency[_, _, _] => Seq(s); case _ => Nil }) ++ shuffles(d.rdd)
     }
+    val sims = ruleMatcher.similarities(records)
+    val candidates = Blocking.tokenBlocking(records, Seq("name", "cpu"), 10)
+    assert(shuffles(sims.rdd).isEmpty)
+    assert(shuffles(candidates.rdd).isEmpty)
+    assert(sims.count() == candidates.count())
   }
 
   test("no stage of the similarity table carries the vocabulary or token dictionary") {

@@ -82,6 +82,12 @@ class SimilaritySpec extends AnyFunSuite {
     }
   }
 
+  test("dictionary numbers known tokens of three or more code points first, unknown ones below 0") {
+    val dict = Similarity.dictionary(Array("zed", "ab", "\ud83d\ude00a", "abc", "oov"), Some(Set("zed", "ab", "\ud83d\ude00a", "abc")))
+    assert(dict.blockingKeys == 2)
+    assert(Seq("abc", "zed", "ab", "\ud83d\ude00a", "oov").map(dict.id) == Seq(0, 1, 2, 3, -1))
+  }
+
   test("encoded token similarity equals tokenJaccardKnown / tokenJaccard bit for bit (property)") {
     val prop = Prop.forAll(SimilaritySpec.messyString, SimilaritySpec.messyString, SimilaritySpec.vocab) {
       (a, b, vocab) =>
