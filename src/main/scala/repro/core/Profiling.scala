@@ -13,11 +13,7 @@ object Profiling {
     */
   def sparsity(records: DataFrame, attrs: Seq[String]): Double = {
     require(attrs.nonEmpty, "need at least one attribute")
-    val nullCols = attrs.map(a => sum(when(col(a).isNull, 1).otherwise(0)))
-    val row = records.agg(nullCols.head, nullCols.tail: _*).collect()(0)
-    val nulls = attrs.indices.map(Rows.long(row, _)).sum
-    val total = records.count() * attrs.size
-    if (total == 0) 0.0 else nulls.toDouble / total
+    recordStats(records, attrs).sparsity
   }
 
   /** Textuality (TX): average number of whitespace-separated words per
@@ -26,24 +22,61 @@ object Profiling {
     */
   def textuality(records: DataFrame, attrs: Seq[String]): Double = {
     require(attrs.nonEmpty, "need at least one attribute")
-    val perAttr = attrs.map { a =>
-      records.filter(col(a).isNotNull)
-        .select(size(array_remove(split(col(a).cast("string"), "\\s+"), "")).as("words"))
-    }
-    val all = perAttr.reduce(_ union _).filter(col("words") > 0)
-    Rows.double(all.agg(avg(col("words")).as("tx")).collect()(0), 0)
+    recordStats(records, attrs).textuality
   }
 
   /** Tuple count (TC). */
-  def tupleCount(records: DataFrame): Long = records.count()
+  def tupleCount(records: DataFrame): Long = recordStats(records, Nil).rows
 
   /** Positive ratio (PR): true duplicate pairs over all record pairs.
-    * Computed from the gold clustering: Σ_c C(|c|,2) / C(n,2).
+    * Computed from the gold clustering: Σ_c C(|c|,2) / C(n,2), n = Σ_c |c|.
+    *
+    * One Spark job: the size of each cluster (a null ID is one cluster), at
+    * most one per record, is counted over the RDD, whose shuffle is a stage
+    * of the same job, and summed on the driver. A DataFrame `groupBy` would
+    * run its exchange as a job of its own under adaptive execution.
     */
   def positiveRatio(gold: DataFrame): Double = {
-    val n = gold.count()
-    val total = ConfusionMatrix.pairsOf(n)
-    if (total == 0) 0.0 else ClusteringOps.pairCount(gold).toDouble / total
+    val sizes = gold.select(col("cluster")).rdd.map(r => (r.get(0), 1L)).reduceByKey(_ + _).values.collect()
+    val total = ConfusionMatrix.pairsOf(sizes.sum)
+    if (total == 0) 0.0 else sizes.map(ConfusionMatrix.pairsOf).sum.toDouble / total
+  }
+
+  /** What SP, TX and TC are read from: the row count, and over all
+    * attribute values the null count, the word total and the number of
+    * values with at least one word.
+    */
+  private final case class RecordStats(rows: Long, attrs: Int, nulls: Long, words: Long, worded: Long) {
+    def sparsity: Double = { val cells = rows * attrs; if (cells == 0) 0.0 else nulls.toDouble / cells }
+    def textuality: Double = if (worded == 0) 0.0 else words.toDouble / worded
+  }
+
+  /** One Spark job over the records. A projection gives each value's word
+    * count, or -1 for null; each task sums its rows into the four counts and
+    * the driver sums the tasks. The sums run over the RDD because a
+    * DataFrame `agg` would run its exchange as a job of its own under
+    * adaptive execution.
+    */
+  private def recordStats(records: DataFrame, attrs: Seq[String]): RecordStats = {
+    val words = records.select(attrs.map { a =>
+      when(col(a).isNull, -1).otherwise(size(array_remove(split(col(a).cast("string"), "\\s+"), "")))
+    }: _*)
+    val k = attrs.size
+    val perTask = words.rdd.mapPartitions { rows =>
+      val t = new Array[Long](4) // rows, nulls, words, values with words
+      rows.foreach { r =>
+        t(0) += 1
+        var i = 0
+        while (i < k) {
+          val w = r.getInt(i)
+          if (w < 0) t(1) += 1 else if (w > 0) { t(2) += w; t(3) += 1 }
+          i += 1
+        }
+      }
+      Iterator(t)
+    }.collect()
+    def total(j: Int): Long = perTask.map(_(j)).sum
+    RecordStats(total(0), k, total(1), total(2), total(3))
   }
 
   /** Vocabulary of a dataset: distinct whitespace tokens over the given
@@ -79,6 +112,12 @@ object Profiling {
   /** Full profile row for a dataset (SP, TX, TC, PR) — Table 2 machinery. */
   final case class Profile(sparsity: Double, textuality: Double, tupleCount: Long, positiveRatio: Double)
 
-  def profile(records: DataFrame, gold: DataFrame, attrs: Seq[String]): Profile =
-    Profile(sparsity(records, attrs), textuality(records, attrs), tupleCount(records), positiveRatio(gold))
+  /** All four metrics from two Spark jobs: one aggregation over the
+    * records and one over the gold cluster sizes.
+    */
+  def profile(records: DataFrame, gold: DataFrame, attrs: Seq[String]): Profile = {
+    require(attrs.nonEmpty, "need at least one attribute")
+    val r = recordStats(records, attrs)
+    Profile(r.sparsity, r.textuality, r.rows, positiveRatio(gold))
+  }
 }

@@ -48,10 +48,16 @@ object ConnectedComponents {
 
   /** The endpoints of at most `cap` edges, failing loudly on a null
     * endpoint (naming the edge's index) or on more than `cap` edges.
+    *
+    * One Spark job: each task keeps at most `cap + 1` edges, one exchange
+    * gathers them into a single partition, and that partition keeps `cap + 1`
+    * again, so the driver never receives more. (`limit(cap + 1).collect()`
+    * scans the partitions in growing jobs instead, and a DataFrame exchange
+    * would be a job of its own under adaptive execution.)
     */
   private[graph] def collectEdges(edges: DataFrame, cap: Int): (Array[Long], Array[Long]) = {
     val ends = edges.select(col("src").cast("long"), col("dst").cast("long"))
-    val rows = ends.limit(cap + 1).collect()
+    val rows = ends.rdd.mapPartitions(_.take(cap + 1)).repartition(1).mapPartitions(_.take(cap + 1)).collect()
     if (rows.length > cap)
       throw new IllegalArgumentException(
         s"closure over ${ends.count()} edges exceeds the driver cap of $cap edges")

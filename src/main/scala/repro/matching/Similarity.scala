@@ -1,9 +1,9 @@
 package repro.matching
 
-/** Similarity measures used by the matching solutions: token Jaccard
-  * (plain and vocabulary-discounted) and Levenshtein similarity on strings,
-  * and the vocabulary-discounted Jaccard of two token sets encoded against
-  * one [[TokenDictionary]], which the similarity tables compute.
+/** Similarity measures used by the matching solutions: token Jaccard on
+  * strings (plain and vocabulary-discounted), and the vocabulary-discounted
+  * Jaccard of two token sets encoded against one [[TokenDictionary]], which
+  * the similarity tables compute.
   */
 object Similarity {
 
@@ -20,33 +20,6 @@ object Similarity {
       val inter = ta.intersect(tb).size
       inter.toDouble / (ta.size + tb.size - inter)
     }
-  }
-
-  /** Levenshtein similarity 1 − dist/maxLen; null-safe (null → 0). */
-  def levenshteinSim(a: String, b: String): Double = {
-    if (a == null || b == null || (a.isEmpty && b.isEmpty)) return if (a != null && b != null) 1.0 else 0.0
-    val d = levenshteinDistance(a.toLowerCase, b.toLowerCase)
-    1.0 - d.toDouble / math.max(a.length, b.length)
-  }
-
-  private[matching] def levenshteinDistance(a: String, b: String): Int = {
-    if (a.isEmpty) return b.length
-    if (b.isEmpty) return a.length
-    var prev = Array.tabulate(b.length + 1)(identity)
-    var cur  = new Array[Int](b.length + 1)
-    var i = 1
-    while (i <= a.length) {
-      cur(0) = i
-      var j = 1
-      while (j <= b.length) {
-        val cost = if (a.charAt(i - 1) == b.charAt(j - 1)) 0 else 1
-        cur(j) = math.min(math.min(cur(j - 1) + 1, prev(j) + 1), prev(j - 1) + cost)
-        j += 1
-      }
-      val t = prev; prev = cur; cur = t
-      i += 1
-    }
-    prev(b.length)
   }
 
   /** Vocabulary-discounted token Jaccard: models a solution whose learned

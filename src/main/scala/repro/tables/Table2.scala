@@ -51,10 +51,13 @@ object Table2 {
     Result(rows, vsD2, vsD3)
   }
 
+  /** Labeled pairs with `label` true over all labeled pairs, from one count
+    * per label value: one Spark job, as [[Profiling]] counts its clusters.
+    */
   private def positiveRatioOverLabeled(d: EmGen.EmDataset): Double = {
-    val total = d.labeledPairs.count()
-    if (total == 0) 0.0
-    else d.labeledPairs.filter(org.apache.spark.sql.functions.col("label")).count().toDouble / total
+    val byLabel = d.labeledPairs.select("label").rdd.map(_.get(0)).countByValue()
+    val total = byLabel.values.sum
+    if (total == 0) 0.0 else byLabel.getOrElse(true, 0L).toDouble / total
   }
 
   def format(r: Result): String = {

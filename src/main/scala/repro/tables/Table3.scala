@@ -89,12 +89,16 @@ object Table3 {
     // large candidate set (a coarse sweep's first boundary would already
     // admit junk candidates and every sampled threshold would look bad).
     val s = math.min(samplePoints, scored.length + 1).max(2)
-    val sorted = scored.sortBy(-_.score)
-    val matrices = MetricDiagram.custom(n, gold, sorted, s)
-    val boundaries = MetricDiagram.boundaries(sorted.length, s)
+    val matrices = MetricDiagram.custom(n, gold, scored, s)
+    val boundaries = MetricDiagram.boundaries(scored.length, s)
     val candidates = matrices.zipWithIndex.filter { case (_, i) => boundaries(i) > 0 }
     val best = candidates.maxBy { case (m, _) => PairMetrics.f1(m) }._2
-    sorted(boundaries(best) - 1).score
+    // Sample point `best` admits the `boundaries(best)` highest scores; the
+    // threshold is the lowest of them. `Arrays.sort` orders doubles as
+    // `Double.compare` does, as `custom`'s own sort does.
+    val scores = scored.map(_.score)
+    java.util.Arrays.sort(scores)
+    scores(scores.length - boundaries(best))
   }
 
   final case class Dataset(name: String, records: DataFrame, gold: DataFrame, goldArray: Array[Int], n: Int)

@@ -19,6 +19,9 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
+  /** The result of `body` and the number of Spark jobs it started. */
+  def jobsOf[T](body: => T): (T, Int) = org.apache.spark.JobCounter(spark.sparkContext)(body)
+
   /** Closure-serialized size in bytes of every partition in the RDD lineage
     * of `df`: what each task computing it carries besides its stage's binary.
     */

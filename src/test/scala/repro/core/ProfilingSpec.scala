@@ -1,6 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+
 import repro.{Oracle, SparkSpec}
+import repro.matching.SimilaritySpec
 
 class ProfilingSpec extends SparkSpec {
   import spark.implicits._
@@ -68,8 +74,26 @@ class ProfilingSpec extends SparkSpec {
     val gold = Seq((0L, 0L), (1L, 0L), (2L, 1L), (3L, 2L)).toDF("id", "cluster")
     val p = Profiling.profile(records, gold, Seq("name", "tag"))
     assert(p.sparsity == 0.25)
+    assert(p.textuality == 10.0 / 6)
     assert(p.tupleCount == 4)
     assert(math.abs(p.positiveRatio - 1.0 / 6) < 1e-12)
+  }
+
+  test("profile equals the four metrics and a driver reference, in at most 2 Spark jobs (property)") {
+    val prop = Prop.forAll(ProfilingSpec.profileCase) { case ProfilingSpec.Case(rows, attrs, goldRows) =>
+      val recs = rows.toDF("id", "v1", "v2")
+      val gold = goldRows.toDF("id", "cluster")
+      val (p, jobs) = jobsOf(Profiling.profile(recs, gold, attrs))
+      val single = Profiling.Profile(Profiling.sparsity(recs, attrs), Profiling.textuality(recs, attrs),
+        Profiling.tupleCount(recs), Profiling.positiveRatio(gold))
+      val want = ProfilingSpec.reference(rows, attrs, goldRows)
+      (p == single) :| s"profile $p, single-metric functions $single" &&
+        (p == want) :| s"profile $p, driver reference $want" &&
+        (jobs <= 2) :| s"profile started $jobs Spark jobs"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(25).withInitialSeed(Seed(29L)), prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 
   test("oracle: null counts per attribute match DuckDB") {
@@ -96,5 +120,38 @@ class ProfilingSpec extends SparkSpec {
       "SELECT DISTINCT lower(unnest(string_split(v, ' '))) AS tok FROM d WHERE v IS NOT NULL",
       "d" -> d,
     )
+  }
+}
+
+object ProfilingSpec {
+
+  final case class Case(rows: Seq[(Long, String, String)], attrs: Seq[String], gold: Seq[(Long, Option[Long])])
+
+  /** Values as the similarity tests make them (null, empty, whitespace only,
+    * tabs, newlines, runs of spaces, leading and trailing whitespace); gold
+    * cluster IDs that are sparse, negative, extreme or null; empty inputs.
+    */
+  val profileCase: Gen[Case] = for {
+    n <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 12))
+    v1 <- Gen.listOfN(n, SimilaritySpec.messyString)
+    v2 <- Gen.listOfN(n, SimilaritySpec.messyString)
+    attrs <- Gen.oneOf(Seq("v1"), Seq("v2"), Seq("v1", "v2"))
+    g <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 15))
+    clusters <- Gen.listOfN(g, Gen.option(Gen.oneOf(-7L, -1L, 0L, 3L, 1L << 40, Long.MinValue)))
+  } yield Case(v1.zip(v2).zipWithIndex.map { case ((a, b), i) => (i.toLong, a, b) }, attrs,
+    clusters.zipWithIndex.map { case (c, i) => (i.toLong, c) })
+
+  /** The four metrics computed on the driver from their definitions. */
+  def reference(rows: Seq[(Long, String, String)], attrs: Seq[String], gold: Seq[(Long, Option[Long])]): Profiling.Profile = {
+    val values = rows.flatMap { case (_, v1, v2) => attrs.map(a => if (a == "v1") v1 else v2) }
+    val nulls = values.count(_ == null)
+    val words = values.filter(_ != null).map(_.split("\\s+").count(_.nonEmpty)).filter(_ > 0)
+    val pairs = gold.groupBy(_._2).values.map(c => ConfusionMatrix.pairsOf(c.size.toLong)).sum
+    val all = ConfusionMatrix.pairsOf(gold.size.toLong)
+    Profiling.Profile(
+      if (values.isEmpty) 0.0 else nulls.toDouble / values.size,
+      if (words.isEmpty) 0.0 else words.sum.toDouble / words.size,
+      rows.size.toLong,
+      if (all == 0) 0.0 else pairs.toDouble / all)
   }
 }

@@ -117,6 +117,20 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(ConnectedComponents.collectEdges(edges, 10)._1.length == 10)
   }
 
+  test("closure collects its edges in one Spark job and keeps the cap across partitions") {
+    val sims = spark.range(0, 4000, 1, 8).select(col("id").as("a"), (col("id") + 1).as("b")).cache()
+    sims.count()
+    val edges = sims.filter(col("a") % 3 =!= 0).select(col("a").as("src"), col("b").as("dst"))
+    val (clustering, jobs) = jobsOf(ConnectedComponents.closure(records(4001), edges))
+    assert(jobs == 1, s"closure started $jobs Spark jobs")
+    val c = clustersOf(clustering)
+    assert(c(1) == 1 && c(2) == 1 && c(3) == 1 && c(4) == 4 && c(3999) == 3997)
+    // Every partition holds 500 edges, fewer than cap + 1, but all 8 hold more.
+    val e = intercept[IllegalArgumentException](ConnectedComponents.collectEdges(sims.select(col("a").as("src"), col("b").as("dst")), 600))
+    assert(e.getMessage.contains("4000 edges") && e.getMessage.contains("cap of 600 edges"), e.getMessage)
+    sims.unpersist()
+  }
+
   test("matches driver-side union-find on a random graph") {
     val rnd = new scala.util.Random(7)
     val n = 100

@@ -1,5 +1,10 @@
 package repro.tables
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+
 import repro.SparkSpec
 import repro.core.{MetricDiagram, PairMetrics, ScoredMatch}
 import repro.matching.ExperimentGen
@@ -60,6 +65,29 @@ class TablesSpec extends SparkSpec {
     assert(f1At(t) >= f1At(0.0) - 1e-9)
   }
 
+  test("Table3.tuneThreshold returns the boxed-sort threshold bit for bit (property)") {
+    // The threshold as read from the matches sorted by `sortBy(-_.score)`,
+    // whose implicit ordering is Double.TotalOrdering.
+    def reference(scored: Array[ScoredMatch], n: Int, gold: Array[Int], samplePoints: Int): Double = {
+      val s = math.min(samplePoints, scored.length + 1).max(2)
+      val sorted = scored.sortBy(-_.score)(Ordering.Double.TotalOrdering)
+      val matrices = MetricDiagram.custom(n, gold, sorted, s)
+      val boundaries = MetricDiagram.boundaries(sorted.length, s)
+      val candidates = matrices.zipWithIndex.filter { case (_, i) => boundaries(i) > 0 }
+      val best = candidates.maxBy { case (m, _) => PairMetrics.f1(m) }._2
+      sorted(boundaries(best) - 1).score
+    }
+    val prop = Prop.forAll(TablesSpec.tuneCase) { case TablesSpec.TuneCase(n, gold, scored, samplePoints) =>
+      val got = Table3.tuneThreshold(scored, n, gold, samplePoints)
+      val want = reference(scored, n, gold, samplePoints)
+      (java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
+        s"tuned $got, reference $want"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(41L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
   test("Table3 solution families cover both weighting philosophies") {
     val x2 = Table3.solutions.filter(_.family == "X2")
     val x3 = Table3.solutions.filter(_.family == "X3")
@@ -95,4 +123,23 @@ class TablesSpec extends SparkSpec {
     assert(Table3.paper.keySet ==
       (for (f <- Set("X2", "X3"); d <- Set("X2", "Z2", "X3", "Z3")) yield (f, d)))
   }
+}
+
+object TablesSpec {
+
+  final case class TuneCase(n: Int, gold: Array[Int], scored: Array[ScoredMatch], samplePoints: Int)
+
+  /** Few records and few distinct scores, so ties and duplicate pairs are
+    * the rule; +0.0 and -0.0 both occur; a single match is common; the
+    * sample count ranges from 2 to well above the number of matches.
+    */
+  val tuneCase: Gen[TuneCase] = for {
+    n <- Gen.choose(2, 12)
+    gold <- Gen.listOfN(n, Gen.choose(0, 3))
+    m <- Gen.frequency(1 -> Gen.const(1), 4 -> Gen.choose(1, 40))
+    pairs <- Gen.listOfN(m, Gen.pick(2, 0 until n))
+    scores <- Gen.listOfN(m, Gen.oneOf(0.0, -0.0, 0.25, 0.5, 0.5, 0.75, 1.0))
+    samplePoints <- Gen.frequency(3 -> Gen.choose(2, 60), 1 -> Gen.const(2001))
+  } yield TuneCase(n, gold.toArray,
+    pairs.zip(scores).map { case (p, sc) => ScoredMatch(p(0), p(1), sc) }.toArray, samplePoints)
 }
