@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
+
+import repro.matching.Similarity
 
 /** Dataset profiling metrics for benchmark-dataset selection
   * (Frost, Sections 3.1.3 and Appendix C / Table 2).
@@ -79,23 +81,16 @@ object Profiling {
     RecordStats(total(0), k, total(1), total(2), total(3))
   }
 
-  /** Vocabulary of a dataset: distinct whitespace tokens over the given
-    * attributes (lower-cased).
+  /** Vocabulary of a dataset: distinct tokens over the given attributes, as
+    * [[Similarity.tokens]] splits and lower-cases them.
     */
   def vocabulary(records: DataFrame, attrs: Seq[String]): DataFrame = {
     require(attrs.nonEmpty, "need at least one attribute")
-    attrs.map { a =>
-      records.select(explodeTokens(col(a)).as("token"))
-        .filter(col("token") =!= "")
-    }.reduce(_ union _).distinct()
+    val k = attrs.size
+    records.select(attrs.map(a => col(a).cast("string")): _*)
+      .flatMap(r => (0 until k).iterator.flatMap(i => Similarity.tokens(r.getString(i))))(Encoders.STRING)
+      .toDF("token").distinct()
   }
-
-  /** One row per whitespace-separated token of a column's lower-cased
-    * string value. A null or empty value yields one empty token and leading
-    * whitespace an empty first token, which callers filter out.
-    */
-  private[repro] def explodeTokens(c: Column): Column =
-    explode(split(lower(coalesce(c.cast("string"), lit(""))), "\\s+"))
 
   /** Vocabulary similarity (VS): Jaccard coefficient of the two datasets'
     * vocabularies (Section 3.1.3).

@@ -8,9 +8,31 @@ package repro.matching
 object Similarity {
 
   /** Whitespace tokenization, lower-cased, empty tokens dropped. */
-  def tokens(s: String): Set[String] =
-    if (s == null) Set.empty
-    else s.toLowerCase.split("\\s+").iterator.filter(_.nonEmpty).toSet
+  def tokens(s: String): Set[String] = {
+    val b = Set.newBuilder[String]
+    foreachToken(s)(b += _)
+    b.result()
+  }
+
+  /** Calls `f` on each token of `s`, in order and repeats included: the
+    * maximal runs of `s.toLowerCase` free of the characters a Java regex's
+    * `\s` matches (space, tab, line feed, vertical tab, form feed and
+    * carriage return). Nothing for null.
+    */
+  private[matching] def foreachToken(s: String)(f: String => Unit): Unit =
+    if (s != null) {
+      val l = s.toLowerCase
+      var i = 0
+      while (i < l.length) {
+        while (i < l.length && isSpace(l.charAt(i))) i += 1
+        val start = i
+        while (i < l.length && !isSpace(l.charAt(i))) i += 1
+        if (i > start) f(l.substring(start, i))
+      }
+    }
+
+  private def isSpace(c: Char): Boolean =
+    c == ' ' || c == '\t' || c == '\n' || c == '\u000B' || c == '\f' || c == '\r'
 
   /** Jaccard similarity of whitespace token sets; null-safe (null → 0). */
   def tokenJaccard(a: String, b: String): Double = {
@@ -45,50 +67,34 @@ object Similarity {
     }
   }
 
-  /** Token -> ID over the sorted distinct tokens of a dataset. Known
-    * tokens (all of them without a vocabulary) are numbered from 0 up: the
-    * `blockingKeys` tokens of at least [[Blocking.shortestToken]] code
-    * points first, then the shorter ones. Unknown tokens are numbered from
-    * -1 down. So a token may form a block exactly when its ID is in
+  /** Token IDs of a dataset's distinct tokens, `ids(r)` for the token of
+    * rank r. Known tokens (all of them without a vocabulary) are numbered
+    * from 0 up: the `blockingKeys` tokens of at least
+    * [[Blocking.shortestToken]] code points first, then the shorter ones.
+    * Unknown tokens are numbered from -1 down. Each class keeps the tokens'
+    * order. So a token may form a block exactly when its ID is in
     * `[0, blockingKeys)`, and a shared ID is known exactly when it is >= 0.
-    * Sorted arrays rather than a hash map, as they serialize compactly.
     */
-  private[matching] final class TokenDictionary(long: Array[String], short: Array[String], unknown: Array[String])
-      extends Serializable {
-    def blockingKeys: Int = long.length
+  private[matching] final class TokenDictionary(val ids: Array[Int], val blockingKeys: Int)
 
-    def id(t: String): Int = {
-      val l = find(long, t)
-      if (l >= 0) l
-      else {
-        val s = find(short, t)
-        if (s >= 0) long.length + s
-        else {
-          val u = find(unknown, t)
-          if (u >= 0) -1 - u else throw new IllegalStateException(s"token '$t' is not in the dictionary")
-        }
-      }
-    }
-
-    private def find(sorted: Array[String], t: String): Int =
-      java.util.Arrays.binarySearch(sorted.asInstanceOf[Array[AnyRef]], t)
-  }
-
-  private[matching] def dictionary(distinct: Array[String], vocab: Option[Set[String]]): TokenDictionary = {
-    val (known, unknown) = distinct.sorted.partition(t => vocab.forall(_.contains(t)))
+  /** The dictionary of `sorted`, a dataset's distinct tokens in ascending
+    * order.
+    */
+  private[matching] def dictionary(sorted: Array[String], vocab: Option[Set[String]]): TokenDictionary = {
+    val known = sorted.map(t => vocab.forall(_.contains(t)))
     // Code points, not UTF-16 units, as Spark's `length` counts them.
-    val (long, short) = known.partition(t => t.codePointCount(0, t.length) >= Blocking.shortestToken)
-    new TokenDictionary(long, short, unknown)
-  }
-
-  /** The sorted IDs of the tokens of `s`; null stays null. */
-  private[matching] def encode(s: String, dict: TokenDictionary): Array[Int] =
-    if (s == null) null
-    else {
-      val ids = tokens(s).iterator.map(dict.id).toArray
-      java.util.Arrays.sort(ids)
-      ids
+    val long = Array.tabulate(sorted.length) { r =>
+      known(r) && sorted(r).codePointCount(0, sorted(r).length) >= Blocking.shortestToken
     }
+    val blockingKeys = long.count(identity)
+    var nextLong = 0; var nextShort = blockingKeys; var nextUnknown = -1
+    val ids = Array.tabulate(sorted.length) { r =>
+      if (long(r)) { nextLong += 1; nextLong - 1 }
+      else if (known(r)) { nextShort += 1; nextShort - 1 }
+      else { nextUnknown -= 1; nextUnknown + 1 }
+    }
+    new TokenDictionary(ids, blockingKeys)
+  }
 
   /** [[tokenJaccardKnown]] over two encoded token sets, as one sorted
     * merge: shared IDs count once, shared known (>= 0) IDs once more.

@@ -1,9 +1,9 @@
 package repro.matching
 
-import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder, PriorityQueue}
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.StructType
 
 import repro.core.DriverFrames
@@ -13,7 +13,7 @@ import repro.core.DriverFrames
   *
   * Records are numbered `0 until n` in ascending ID order. For each scored
   * attribute the index holds every record's sorted token IDs (null for a
-  * null value), encoded with [[Similarity.encode]] against one
+  * null value): the IDs of its [[Similarity.tokens]] in the one
   * [[Similarity.TokenDictionary]] of the dataset's tokens. For blocking it
   * holds CSR (compressed sparse row) postings of the kept blocks: the
   * blocking keys shared by 2 to `maxBlockSize` records, in key order, with
@@ -27,10 +27,10 @@ import repro.core.DriverFrames
 private[matching] final class TokenIndex private (
     val ids: Array[Long],
     val encoded: Array[Array[Array[Int]]],
-    blockStart: Array[Int],
-    blockMembers: Array[Int],
-    recordStart: Array[Int],
-    recordBlocks: Array[Int],
+    private[matching] val blockStart: Array[Int],
+    private[matching] val blockMembers: Array[Int],
+    private[matching] val recordStart: Array[Int],
+    private[matching] val recordBlocks: Array[Int],
 ) extends Serializable {
 
   def blocks: Int = blockStart.length - 1
@@ -101,9 +101,11 @@ private[matching] final class TokenIndex private (
 private[matching] object TokenIndex {
 
   /** Index of `records` (a unique, non-null long `id` per record) over the
-    * blocking attributes and the scored attributes. Runs two Spark jobs:
-    * one collects the distinct tokens into the dictionary, one encodes each
-    * record once.
+    * blocking attributes and the scored attributes, from one Spark job.
+    * Each task tokenizes each value of its records once, numbering its
+    * tokens locally ([[Part]]); the driver merges the tasks' sorted tokens
+    * into the dataset's [[Similarity.TokenDictionary]] and maps every
+    * task's local IDs to the dictionary's.
     *
     * @throws IllegalArgumentException naming the ID, if an ID is null or
     *         appears more than once
@@ -119,40 +121,137 @@ private[matching] object TokenIndex {
     val attrs = (blockingAttrs ++ scoredAttrs).distinct
     val blockingCols = blockingAttrs.map(attrs.indexOf).toArray
     val scoredCols = scoredAttrs.map(attrs.indexOf).toArray
-    val sc = records.sparkSession.sparkContext
+    val width = attrs.length
 
-    val tokensOf = udf((vs: Seq[String]) => vs.flatMap(Similarity.tokens).distinct)
-    val distinct = records.select(explode(tokensOf(array(attrs.map(a => col(a).cast("string")): _*)))).distinct()
-      .collect().map(_.getString(0))
-    val dict = sc.broadcast(Similarity.dictionary(distinct, vocab))
-    val keys = dict.value.blockingKeys
+    val parts = records.select(col("id").cast("long") +: attrs.map(a => col(a).cast("string")): _*).rdd
+      .mapPartitions(rows => Iterator(Part.of(rows, width))).collect()
+    require(!parts.exists(_.nullId), "a record has a null id")
+    val (sorted, ranks) = merge(parts.map(_.tokens))
+    val dict = Similarity.dictionary(sorted, vocab)
+    val keys = dict.blockingKeys
 
-    // Per record: its ID (boxed, so a null reaches the driver), the scored
-    // attributes' encodings and its distinct blocking keys, ascending.
-    val rows = records.select(col("id").cast("long") +: attrs.map(a => col(a).cast("string")): _*).rdd.map { r =>
-      val enc = Array.tabulate(attrs.length)(k => Similarity.encode(r.getString(k + 1), dict.value))
-      val blockingKeys = blockingCols.flatMap(k => Option(enc(k)).getOrElse(Array.emptyIntArray))
-        .filter(t => t >= 0 && t < keys).distinct.sorted
-      (r.get(0).asInstanceOf[java.lang.Long], scoredCols.map(enc), blockingKeys)
-    }.collect()
-    dict.destroy()
+    // Per record in task order: its ID and, per attribute, its sorted token
+    // IDs (null for a null value).
+    val n = parts.map(_.ids.length).sum
+    val taskIds = new Array[Long](n)
+    val values = Array.ofDim[Array[Int]](width, n)
+    var i = 0
+    parts.zip(ranks).foreach { case (part, rank) =>
+      val toId = rank.map(dict.ids(_))
+      var v = 0; var f = 0
+      part.ids.foreach { id =>
+        taskIds(i) = id
+        var k = 0
+        while (k < width) {
+          val len = part.lengths(v)
+          if (len >= 0) {
+            val ids = java.util.Arrays.copyOfRange(part.tokenIds, f, f + len)
+            java.util.Arrays.setAll(ids, (q: Int) => toId(ids(q)))
+            java.util.Arrays.sort(ids)
+            values(k)(i) = ids
+            f += len
+          }
+          v += 1
+          k += 1
+        }
+        i += 1
+      }
+    }
 
-    rows.foreach { case (id, _, _) => require(id != null, "a record has a null id") }
-    val sorted = rows.sortBy(_._1.longValue)
-    val ids = sorted.map(_._1.longValue)
-    var i = 1
+    val order = Array.range(0, n).sortBy(taskIds(_))
+    val ids = order.map(taskIds(_))
+    i = 1
     while (i < ids.length) {
       require(ids(i) != ids(i - 1), s"record id ${ids(i)} appears more than once")
       i += 1
     }
-    val encoded = Array.tabulate(scoredCols.length)(k => sorted.map(_._2(k)))
-    postings(ids, encoded, sorted.map(_._3), keys, maxBlockSize)
+    val encoded = scoredCols.map(k => order.map(values(k)(_)))
+    // Each record's distinct blocking keys, ascending.
+    val recordKeys = order.map { r =>
+      blockingCols.flatMap(k => Option(values(k)(r)).getOrElse(Array.emptyIntArray))
+        .filter(t => t >= 0 && t < keys).distinct.sorted
+    }
+    postings(ids, encoded, recordKeys, keys, maxBlockSize)
+  }
+
+  /** What one task returns for its records: its distinct tokens, ascending;
+    * the records' IDs, and whether one was null; for each record and each
+    * attribute in turn, the number of distinct tokens of the value (-1 for
+    * null) in `lengths`, and their ranks in `tokens` in `tokenIds`.
+    */
+  private final case class Part(
+      tokens: Array[String], ids: Array[Long], nullId: Boolean, lengths: Array[Int], tokenIds: Array[Int])
+
+  private object Part {
+
+    /** The part of `rows`: an ID and then `width` string values each. */
+    def of(rows: Iterator[Row], width: Int): Part = {
+      val local = new java.util.HashMap[String, Integer]
+      val tokens = ArrayBuffer.empty[String]
+      var seenIn = new Array[Int](1024) // per local ID, the last value holding it
+      var value = 0
+      val ids = new ArrayBuilder.ofLong
+      var nullId = false
+      val lengths = new ArrayBuilder.ofInt
+      val tokenIds = new ArrayBuilder.ofInt
+      rows.foreach { r =>
+        if (r.isNullAt(0)) nullId = true else ids += r.getLong(0)
+        var k = 1
+        while (k <= width) {
+          val s = r.getString(k)
+          if (s == null) lengths += -1
+          else {
+            value += 1
+            var len = 0
+            Similarity.foreachToken(s) { t =>
+              val known = local.get(t)
+              val id = if (known != null) known.intValue else {
+                local.put(t, tokens.length)
+                tokens += t
+                if (tokens.length > seenIn.length) seenIn = java.util.Arrays.copyOf(seenIn, 2 * seenIn.length)
+                tokens.length - 1
+              }
+              if (seenIn(id) != value) { seenIn(id) = value; tokenIds += id; len += 1 }
+            }
+            lengths += len
+          }
+          k += 1
+        }
+      }
+      val byToken = Array.range(0, tokens.length).sortBy(tokens(_))
+      val rank = new Array[Int](tokens.length)
+      byToken.indices.foreach(r => rank(byToken(r)) = r)
+      val ranked = tokenIds.result()
+      java.util.Arrays.setAll(ranked, (x: Int) => rank(ranked(x)))
+      Part(byToken.map(tokens), ids.result(), nullId, lengths.result(), ranked)
+    }
+  }
+
+  /** The distinct strings of the ascending, distinct `sorted(p)`, ascending,
+    * and for each p the rank in them of each of its strings: one k-way
+    * merge.
+    */
+  private def merge(sorted: Array[Array[String]]): (Array[String], Array[Array[Int]]) = {
+    val next = new Array[Int](sorted.length)
+    val heads = PriorityQueue.empty[Int](Ordering.by((p: Int) => sorted(p)(next(p))).reverse)
+    sorted.indices.foreach(p => if (sorted(p).nonEmpty) heads += p)
+    val all = ArrayBuffer.empty[String]
+    val ranks = sorted.map(s => new Array[Int](s.length))
+    while (heads.nonEmpty) {
+      val p = heads.dequeue()
+      val t = sorted(p)(next(p))
+      if (all.isEmpty || all.last != t) all += t
+      ranks(p)(next(p)) = all.length - 1
+      next(p) += 1
+      if (next(p) < sorted(p).length) heads += p
+    }
+    (all.toArray, ranks)
   }
 
   /** The index with the CSR postings of the keys held by 2 to
     * `maxBlockSize` records; `recordKeys(i)` are record i's keys, ascending.
     */
-  private def postings(
+  private[matching] def postings(
       ids: Array[Long],
       encoded: Array[Array[Array[Int]]],
       recordKeys: Array[Array[Int]],

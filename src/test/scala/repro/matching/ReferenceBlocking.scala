@@ -1,9 +1,7 @@
 package repro.matching
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-
-import repro.core.Profiling
 
 /** Token blocking as a Spark DataFrame pipeline, the reference the token
   * index's candidate set is checked against: Spark's
@@ -21,7 +19,7 @@ object ReferenceBlocking {
     val isKnown = knownVocab.map(vocab => udf((t: String) => vocab.contains(t)))
     val keyed = attrs.map { a =>
       val tokens = records
-        .select(col("id"), Profiling.explodeTokens(col(a)).as("token"))
+        .select(col("id"), explodeTokens(col(a)).as("token"))
         .filter(length(col("token")) >= Blocking.shortestToken)
       isKnown.fold(tokens)(f => tokens.filter(f(col("token"))))
     }.reduce(_ union _).distinct()
@@ -35,4 +33,11 @@ object ReferenceBlocking {
       .select(col("a"), col("b"))
       .distinct()
   }
+
+  /** One row per whitespace-separated token of a column's lower-cased
+    * string value. A null or empty value yields one empty token and leading
+    * whitespace an empty first token, which callers filter out.
+    */
+  private[repro] def explodeTokens(c: Column): Column =
+    explode(split(lower(coalesce(c.cast("string"), lit(""))), "\\s+"))
 }

@@ -67,17 +67,20 @@ class SimilaritySpec extends AnyFunSuite {
   }
 
   test("dictionary numbers known tokens of three or more code points first, unknown ones below 0") {
-    val dict = Similarity.dictionary(Array("zed", "ab", "\ud83d\ude00a", "abc", "oov"), Some(Set("zed", "ab", "\ud83d\ude00a", "abc")))
+    val sorted = Array("zed", "ab", "\ud83d\ude00a", "abc", "oov").sorted
+    val dict = Similarity.dictionary(sorted, Some(Set("zed", "ab", "\ud83d\ude00a", "abc")))
     assert(dict.blockingKeys == 2)
-    assert(Seq("abc", "zed", "ab", "\ud83d\ude00a", "oov").map(dict.id) == Seq(0, 1, 2, 3, -1))
+    val id = sorted.zip(dict.ids).toMap
+    assert(Seq("abc", "zed", "ab", "\ud83d\ude00a", "oov").map(id) == Seq(0, 1, 2, 3, -1))
   }
 
   test("encoded token similarity equals tokenJaccardKnown / tokenJaccard bit for bit (property)") {
     val prop = Prop.forAll(SimilaritySpec.messyString, SimilaritySpec.messyString, SimilaritySpec.vocab) {
       (a, b, vocab) =>
-        val distinct = (Similarity.tokens(a) ++ Similarity.tokens(b) + "unused").toArray
-        val dict = Similarity.dictionary(distinct, vocab)
-        val (ea, eb) = (Similarity.encode(a, dict), Similarity.encode(b, dict))
+        val sorted = (Similarity.tokens(a) ++ Similarity.tokens(b) + "unused").toArray.sorted
+        val id = sorted.zip(Similarity.dictionary(sorted, vocab).ids).toMap
+        def encode(s: String) = if (s == null) null else Similarity.tokens(s).toArray.map(id).sorted
+        val (ea, eb) = (encode(a), encode(b))
         // As in the similarity table: a null side scores 0.
         val got = if (ea == null || eb == null) 0.0 else Similarity.knownJaccard(ea, eb)
         val want = vocab.fold(Similarity.tokenJaccard(a, b))(Similarity.tokenJaccardKnown(a, b, _))
@@ -86,6 +89,19 @@ class SimilaritySpec extends AnyFunSuite {
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(3000).withInitialSeed(Seed(11L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("tokens splits like the regex definition, on Java's whitespace only (property)") {
+    val prop = Prop.forAll(SimilaritySpec.unicodeString) { s =>
+      val scanned = Seq.newBuilder[String]
+      Similarity.foreachToken(s)(scanned += _)
+      val split = if (s == null) Nil else s.toLowerCase.split("\\s+").toSeq.filter(_.nonEmpty)
+      (scanned.result() == split) :| s"scanned ${scanned.result()}, split $split" &&
+        (Similarity.tokens(s) == ReferenceTokenIndex.tokens(s)) :| s"tokens ${Similarity.tokens(s)}"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(13L)), prop)
     assert(result.passed, Pretty.pretty(result))
   }
 }
@@ -121,4 +137,26 @@ object SimilaritySpec {
   /** No vocabulary, or a subset of the pool (plus a token no value has). */
   val vocab: Gen[Option[Set[String]]] =
     Gen.option(Gen.someOf(pool).map(_.toSet + "zz"))
+
+  /** The characters Java's regex `\s` matches, and others that are
+    * whitespace elsewhere (information separator, next line, no-break
+    * space, em space) but part of a token here.
+    */
+  val separators: Seq[String] =
+    Seq(" ", "\t", "\n", "\u000B", "\f", "\r", "\u001C", "\u0085", "\u00A0", "\u2003")
+
+  /** Tokens whose lower-casing lengthens them ("İ"), changes Greek final
+    * sigma ("ΟΔΟΣ") or leaves the BMP, in mixed case.
+    */
+  val unicodeTokens: Seq[String] =
+    Seq("İ", "İstanbul", "ΟΔΟΣ", "οδος", "\ud83d\ude00", "x\ud83d\ude00Y", "\ud801\udc00", "ab", "Alpha", "ALPHA", "ß")
+
+  /** Null, or tokens and repeated tokens joined by runs of separators. */
+  val unicodeString: Gen[String] = Gen.frequency(
+    1 -> Gen.const(null: String),
+    8 -> (for {
+      n <- Gen.choose(0, 6)
+      parts <- Gen.listOfN(n, Gen.oneOf(Gen.oneOf(unicodeTokens), Gen.listOfN(3, Gen.oneOf(separators)).map(_.mkString)))
+    } yield parts.mkString),
+  )
 }
