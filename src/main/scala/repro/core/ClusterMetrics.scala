@@ -92,6 +92,13 @@ object ClusterMetrics {
     * configurable merge/split costs `fm`/`fs`, each a function of the two
     * part sizes involved. With fm = fs = (_, _) => 1 this is the minimum
     * number of cluster merge/split operations to turn `exp` into `gold`.
+    *
+    * Each experiment cluster splits off its gold-pure parts in ascending
+    * size, `fs(part, rest)`, keeping the largest; each gold cluster then
+    * merges its parts in ascending size, `fm(merged so far, part)`. The
+    * costs are summed in ascending order. Both orders depend on sizes only,
+    * so relabelling either clustering leaves the distance as it is, bit for
+    * bit.
     */
   def generalizedMergeDistance(
       exp: Array[Int],
@@ -103,7 +110,7 @@ object ClusterMetrics {
     // Slice algorithm: split every experiment cluster into its gold-pure
     // parts (split costs), then build each gold cluster by merging its parts
     // (merge costs). This ordering is cost-minimal for monotone cost models.
-    var cost = 0.0
+    val costs = mutable.ArrayBuffer.empty[Double]
     // parts: per experiment cluster, sizes grouped by gold cluster
     val parts = mutable.HashMap.empty[Int, mutable.LongMap[Long]]
     var i = 0
@@ -116,8 +123,8 @@ object ClusterMetrics {
       if (m.size > 1) {
         // Sequentially split parts off the remainder.
         var remaining = m.values.sum
-        m.values.toSeq.dropRight(1).foreach { part =>
-          cost += fs(part, remaining - part)
+        m.values.toSeq.sorted.dropRight(1).foreach { part =>
+          costs += fs(part, remaining - part)
           remaining -= part
         }
       }
@@ -129,10 +136,10 @@ object ClusterMetrics {
         goldParts.getOrElseUpdate(g.toInt, mutable.ArrayBuffer.empty[Long]) += cnt
       }
     }
-    goldParts.values.foreach { sizes =>
+    goldParts.values.map(_.sorted).foreach { sizes =>
       var acc = sizes.head
-      sizes.tail.foreach { s => cost += fm(acc, s); acc += s }
+      sizes.tail.foreach { s => costs += fm(acc, s); acc += s }
     }
-    cost
+    costs.sorted(Ordering.Double.TotalOrdering).sum
   }
 }

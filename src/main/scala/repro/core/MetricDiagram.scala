@@ -52,7 +52,8 @@ object MetricDiagram {
     matches.sortBy(-_.score)
 
   /** The record pairs of `matches` in exactly the order `sortedDesc` gives,
-    * as two primitive arrays (`a(j)`, `b(j)`).
+    * as two primitive arrays (`a(j)`, `b(j)`), and their sort keys, the
+    * order-preserving bits of `-score` ([[keyScore]] decodes one).
     *
     * A stable LSD radix sort over 16-bit digits of the order-preserving bits
     * of `-score`: flipping the sign bit of a non-negative double and all bits
@@ -62,7 +63,7 @@ object MetricDiagram {
     * which all keys agree are skipped, and input that is already in order
     * is copied without a pass.
     */
-  private[core] def sortedPairs(matches: IndexedSeq[ScoredMatch]): (Array[Int], Array[Int]) = {
+  private[core] def sortedPairs(matches: IndexedSeq[ScoredMatch]): (Array[Int], Array[Int], Array[Long]) = {
     val m = matches.length
     var keys = new Array[Long](m)
     var pairs = new Array[Long](m)
@@ -108,8 +109,12 @@ object MetricDiagram {
     val b = new Array[Int](m)
     j = 0
     while (j < m) { a(j) = (pairs(j) >>> 32).toInt; b(j) = pairs(j).toInt; j += 1 }
-    (a, b)
+    (a, b, keys)
   }
+
+  /** The score whose sort key `sortedPairs` made `key`, bit for bit. */
+  private def keyScore(key: Long): Double =
+    -java.lang.Double.longBitsToDouble(if (key < 0) key ^ Long.MinValue else ~key)
 
   /** The paper's optimized algorithm (Appendix D, Algorithm 1): a single
     * pass over the score-sorted matches through a tracked-union union-find,
@@ -122,10 +127,23 @@ object MetricDiagram {
     * experiment clusters implicit, so set-up is two arrays of size `n`
     * (the union-find) and the gold pair count, not a map per record.
     */
-  def custom(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] = {
+  def custom(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] =
+    sweep(n, gold, matches, s)._1
+
+  /** [[custom]]'s matrices, each with its sample point's threshold: the
+    * lowest score the point admits, read from the sorted keys, or +∞ at a
+    * point that admits no match.
+    */
+  private[repro] def sweep(
+      n: Int,
+      gold: Array[Int],
+      matches: IndexedSeq[ScoredMatch],
+      s: Int,
+  ): (IndexedSeq[ConfusionMatrix], Array[Double]) = {
     validate(n, gold, matches)
-    val (a, b) = sortedPairs(matches)
+    val (a, b, keys) = sortedPairs(matches)
     val bounds = boundaries(a.length, s)
+    val thresholds = bounds.map(k => if (k == 0) Double.PositiveInfinity else keyScore(keys(k - 1)))
     val exp = new UnionFind(n)
     val intersect = new DynamicIntersection(gold)
     val goldPairs = goldPairCount(gold)
@@ -145,7 +163,7 @@ object MetricDiagram {
       out += snapshot()
       i += 1
     }
-    out.result()
+    (out.result(), thresholds)
   }
 
   /** The paper's naïve comparison algorithm: for every sample point, rebuild

@@ -3,10 +3,10 @@ package repro.tables
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{ConfusionMatrix, MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
+import repro.core.{MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
 import repro.emdata.{DatasetSpecs, EmGen}
 import repro.graph.ConnectedComponents
-import repro.matching.{AttributeRule, WeightedRuleMatcher}
+import repro.matching.Blocking
 
 /** Table 3: transfer of matching solutions across datasets — average
   * precision / recall / f1 of solutions "developed on X2" and "developed on
@@ -63,20 +63,21 @@ object Table3 {
     ("X3", "Z3") -> Cell(0.986, 0.975, 0.982),
   )
 
+  /** Largest block the solutions' name blocking keeps. */
+  private val maxBlockSize = 60
+
   /** Per-attribute similarity table for one (dataset, family-vocabulary):
-    * the [[WeightedRuleMatcher.similarities]] table, with an activity flag
-    * and a vocabulary-restricted token Jaccard per attribute, of the
-    * family's matcher. All solutions of a family score as weighted means
-    * over these columns, so the expensive blocking + similarity work is
-    * shared across the family.
+    * the [[Blocking.similarities]] table of name blocking, with an activity
+    * flag and a vocabulary-restricted token Jaccard per attribute. All
+    * solutions of a family score as weighted means over these columns, so
+    * the expensive blocking + similarity work is shared across the family.
     */
-  def familySims(records: DataFrame, vocab: Set[String], maxBlockSize: Int = 60): DataFrame =
-    WeightedRuleMatcher("family", attrs.map(AttributeRule(_, 1.0)), Seq("name"), maxBlockSize, Some(vocab))
-      .similarities(records)
+  def familySims(records: DataFrame, vocab: Set[String]): DataFrame =
+    Blocking.similarities(records, attrs, Seq("name"), maxBlockSize, Some(vocab))
 
   /** Score column of one solution over a familySims table. */
   def scoreOf(sol: Solution): org.apache.spark.sql.Column =
-    WeightedRuleMatcher.weightedScore(attrs.map(at => at -> sol.weights(at)))
+    Blocking.weightedScore(attrs.map(at => at -> sol.weights(at)))
 
   /** Tune a solution's threshold on its home training data: sweep the
     * metric/metric diagram (the platform's own machinery) and return the
@@ -88,31 +89,23 @@ object Table3 {
     // cheap — essential when true matches are a thin high-score slice of a
     // large candidate set (a coarse sweep's first boundary would already
     // admit junk candidates and every sampled threshold would look bad).
+    // With s - 1 <= |scored|, every sample point but the first admits a
+    // match, so each of them has a threshold.
     val s = math.min(samplePoints, scored.length + 1).max(2)
-    val matrices = MetricDiagram.custom(n, gold, scored, s)
-    val boundaries = MetricDiagram.boundaries(scored.length, s)
-    val candidates = matrices.zipWithIndex.filter { case (_, i) => boundaries(i) > 0 }
-    val best = candidates.maxBy { case (m, _) => PairMetrics.f1(m) }._2
-    // Sample point `best` admits the `boundaries(best)` highest scores; the
-    // threshold is the lowest of them. `Arrays.sort` orders doubles as
-    // `Double.compare` does, as `custom`'s own sort does.
-    val scores = scored.map(_.score)
-    java.util.Arrays.sort(scores)
-    scores(scores.length - boundaries(best))
+    val (matrices, thresholds) = MetricDiagram.sweep(n, gold, scored, s)
+    thresholds((1 until s).maxBy(i => PairMetrics.f1(matrices(i))))
   }
 
-  final case class Dataset(name: String, records: DataFrame, gold: DataFrame, goldArray: Array[Int], n: Int)
-
-  def loadDatasets(spark: SparkSession): Seq[Dataset] =
+  def loadDatasets(spark: SparkSession): Seq[EmGen.EmDataset] =
     Seq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3).map { spec =>
       val d = EmGen.generate(spark, spec)
       d.records.cache().count()
-      Dataset(spec.name, d.records, d.gold, d.goldArray, spec.nRecords)
+      d
     }
 
   def run(spark: SparkSession): Result = {
     val datasets = loadDatasets(spark)
-    val byName = datasets.map(d => d.name -> d).toMap
+    val byName = datasets.map(d => d.spec.name -> d).toMap
     val vocabs = Map(
       "X2" -> DatasetSpecs.x2.pool.toSet,
       "X3" -> DatasetSpecs.x3.pool.toSet,
@@ -123,17 +116,17 @@ object Table3 {
       (for (d <- datasets; fam <- Seq("X2", "X3")) yield {
         val df = familySims(d.records, vocabs(fam)).cache()
         df.count()
-        ((d.name, fam), df)
+        ((d.spec.name, fam), df)
       }).toMap
 
     // Threshold tuning on the home training dataset.
     val thresholds: Map[String, Double] = solutions.map { sol =>
       val home = byName(sol.family)
-      val scored = sims((home.name, sol.family))
+      val scored = sims((home.spec.name, sol.family))
         .select(col("a").cast("int"), col("b").cast("int"), scoreOf(sol).as("score"))
         .collect()
         .map(r => ScoredMatch(r.getInt(0), r.getInt(1), r.getDouble(2)))
-      sol.name -> tuneThreshold(scored, home.n, home.goldArray)
+      sol.name -> tuneThreshold(scored, home.spec.nRecords, home.goldArray)
     }.toMap
 
     // Evaluate every solution on every dataset; average per family.
@@ -142,13 +135,13 @@ object Table3 {
       d <- datasets
     } yield {
       val t = thresholds(sol.name)
-      val edges = sims((d.name, sol.family))
+      val edges = sims((d.spec.name, sol.family))
         .select(col("a"), col("b"), scoreOf(sol).as("score"))
         .filter(col("score") >= t)
         .select(col("a").as("src"), col("b").as("dst"))
       val clustering = ConnectedComponents.closure(d.records, edges)
-      val cm = MetricsEngine.confusionMatrix(clustering, d.gold, d.n.toLong)
-      ((sol.family, d.name), Cell(PairMetrics.precision(cm), PairMetrics.recall(cm), PairMetrics.f1(cm)))
+      val cm = MetricsEngine.confusionMatrix(clustering, d.gold, d.spec.nRecords.toLong)
+      ((sol.family, d.spec.name), Cell(PairMetrics.precision(cm), PairMetrics.recall(cm), PairMetrics.f1(cm)))
     }
     val cells = perSolution.groupBy(_._1).map { case (key, vs) =>
       val cs = vs.map(_._2)

@@ -78,6 +78,35 @@ class ClusterMetricsSpec extends AnyFunSuite {
     assert(gmd == 3.0)
   }
 
+  test("GMD under asymmetric costs does not change when either clustering is relabelled") {
+    val fs: (Long, Long) => Double = (part, _) => part.toDouble
+    val fm: (Long, Long) => Double = (merged, part) => (2 * merged + part).toDouble
+    def gmd(exp: Array[Int], gold: Array[Int]) = ClusterMetrics.generalizedMergeDistance(exp, gold, fm, fs)
+    // Split the part of 1 off the part of 2: fs(1, 2) = 1, never fs(2, 1).
+    for (gold <- Seq(Array(0, 1, 1), Array(1, 0, 0), Array(5, 7, 7), Array(7, 5, 5)))
+      assert(gmd(Array(0, 0, 0), gold) == 1.0, gold.mkString(","))
+    // Merge the part of 1 into the part of 2: fm(1, 2) = 4, never fm(2, 1).
+    for (exp <- Seq(Array(0, 1, 1), Array(1, 0, 0), Array(5, 7, 7), Array(7, 5, 5)))
+      assert(gmd(exp, Array(0, 0, 0)) == 4.0, exp.mkString(","))
+    // Fractional costs: equal bit for bit, whatever order clusters are met in.
+    val fsFrac: (Long, Long) => Double = (part, rest) => part.toDouble / (part + rest)
+    val fmFrac: (Long, Long) => Double = (merged, part) => math.sqrt(merged.toDouble) + 1.0 / part
+    val rnd = new Random(7)
+    for (_ <- 1 to 100) {
+      val n = 2 + rnd.nextInt(120)
+      val k = 1 + rnd.nextInt(20)
+      val exp = Array.fill(n)(rnd.nextInt(k))
+      val gold = Array.fill(n)(rnd.nextInt(k))
+      val label = rnd.shuffle((0 until 1000).toVector)
+      for ((f, g) <- Seq((fm, fs), (fmFrac, fsFrac))) {
+        val want = ClusterMetrics.generalizedMergeDistance(exp, gold, f, g)
+        for ((e, gd) <- Seq((exp.map(label), gold), (exp, gold.map(label))))
+          assert(ClusterMetrics.generalizedMergeDistance(e, gd, f, g) == want,
+            s"exp ${exp.mkString(",")} gold ${gold.mkString(",")}")
+      }
+    }
+  }
+
   test("GMD rejects mismatched lengths") {
     val metrics: Seq[(String, (Array[Int], Array[Int]) => Any)] = Seq(
       ("closestClusterPrecision", ClusterMetrics.closestClusterPrecision(_, _)),

@@ -182,11 +182,18 @@ class MetricDiagramSpec extends AnyFunSuite {
         case 1 => shuffled.sortBy(-_.score)
         case _ => shuffled.sortBy(_.score)
       }
-      val (a, b) = MetricDiagram.sortedPairs(matches)
+      val (a, b, _) = MetricDiagram.sortedPairs(matches)
       assert(a.toSeq.zip(b) == matches.sortBy(-_.score).map(m => (m.a, m.b)))
       val s = if (rnd.nextBoolean()) (matches.length + 1).max(2) else 2 + rnd.nextInt(9)
       assert(MetricDiagram.custom(n, gold, matches, s) ==
         MetricDiagram.naive(n, gold, matches, s))
+      // Each point's threshold is the score of the last match it admits.
+      val thresholds = MetricDiagram.sweep(n, gold, matches, s)._2
+      val lowest = MetricDiagram.boundaries(matches.length, s).map { k =>
+        if (k == 0) Double.PositiveInfinity else matches.sortBy(-_.score).apply(k - 1).score
+      }
+      assert(thresholds.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+        lowest.map(java.lang.Double.doubleToRawLongBits).toSeq)
     }
   }
 }

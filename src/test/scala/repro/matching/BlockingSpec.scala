@@ -77,8 +77,8 @@ class BlockingSpec extends SparkSpec {
 
   test("tokenBlocking and similarities reject a duplicate record id, naming it") {
     val recs = Seq((3L, "alpha beta"), (7L, "alpha gamma"), (3L, "alpha delta")).toDF("id", "name")
-    val matcher = WeightedRuleMatcher("d", Seq(AttributeRule("name", 1.0)), Seq("name"))
-    for (run <- Seq(() => Blocking.tokenBlocking(recs, Seq("name"), 10), () => matcher.similarities(recs))) {
+    for (run <- Seq(() => Blocking.tokenBlocking(recs, Seq("name"), 10),
+        () => Blocking.similarities(recs, Seq("name"), Seq("name"), 10, None))) {
       val e = intercept[IllegalArgumentException](run())
       assert(e.getMessage.contains("record id 3 appears more than once"), e.getMessage)
     }
@@ -86,8 +86,8 @@ class BlockingSpec extends SparkSpec {
 
   test("tokenBlocking and similarities reject a null record id") {
     val recs = Seq((Some(1L), "alpha beta"), (None, "alpha gamma")).toDF("id", "name")
-    val matcher = WeightedRuleMatcher("n", Seq(AttributeRule("name", 1.0)), Seq("name"))
-    for (run <- Seq(() => Blocking.tokenBlocking(recs, Seq("name"), 10), () => matcher.similarities(recs))) {
+    for (run <- Seq(() => Blocking.tokenBlocking(recs, Seq("name"), 10),
+        () => Blocking.similarities(recs, Seq("name"), Seq("name"), 10, None))) {
       val e = intercept[IllegalArgumentException](run())
       assert(e.getMessage.contains("null id"), e.getMessage)
     }

@@ -41,10 +41,9 @@ class TokenIndexSpec extends SparkSpec {
       (4L, null, "apple m1000"), (5L, "zenbook flip", "intel"),
     ).toDF("id", "name", "cpu").repartition(4).cache()
     recs.count()
-    val matcher = WeightedRuleMatcher("j", Seq(AttributeRule("name", 1.0), AttributeRule("cpu", 1.0)), Seq("name"),
-      knownVocab = Some(Set("thinkpad", "x230", "macbook", "laptop", "intel")))
+    val vocab = Set("thinkpad", "x230", "macbook", "laptop", "intel")
     val (candidates, blockingJobs) = jobsOf(Blocking.tokenBlocking(recs, Seq("name", "cpu"), 10))
-    val (sims, similarityJobs) = jobsOf(matcher.similarities(recs))
+    val (sims, similarityJobs) = jobsOf(Blocking.similarities(recs, Seq("name", "cpu"), Seq("name"), 50, Some(vocab)))
     assert(blockingJobs == 1, s"tokenBlocking started $blockingJobs Spark jobs")
     assert(similarityJobs == 1, s"similarities started $similarityJobs Spark jobs")
     assert(candidates.count() == 7 && sims.count() == 3)

@@ -7,7 +7,7 @@ import org.scalacheck.util.Pretty
 
 import repro.SparkSpec
 import repro.core.{MetricDiagram, PairMetrics, ScoredMatch}
-import repro.matching.ExperimentGen
+import repro.matching.{ExperimentGen, Similarity}
 
 /** Unit-level checks of the table harnesses (the full-size runs live in the
   * bench project). Small workloads keep this fast.
@@ -97,26 +97,33 @@ class TablesSpec extends SparkSpec {
     x3.foreach(s => assert(s.weights("name") > s.weights("description")))
   }
 
-  test("Table3 familySims + scoreOf reproduce a WeightedRuleMatcher end-to-end") {
+  test("Table3.scoreOf over familySims is the weighted mean of tokenJaccardKnown") {
     import spark.implicits._
-    val records = Seq(
+    val nul = null.asInstanceOf[String]
+    val rows = Seq(
       (0L, "alpha beta gamma", "fast cpu", "big ram", "hd screen", "long description here"),
       (1L, "alpha beta gamma", "fast cpu", "big ram", "hd screen", "long description here"),
-      (2L, "delta epsilon", "slow cpu", null.asInstanceOf[String], "sd screen", "other text"),
-    ).toDF("id", "name", "cpu", "ram", "screen", "description")
+      (2L, "alpha delta epsilon", "slow cpu", nul, "sd screen", "other text"),
+      (3L, "alpha beta zeta", nul, nul, "hd screen", "long unknown words"),
+      (4L, "delta epsilon", nul, nul, nul, nul),
+    )
+    val records = rows.toDF("id", "name", "cpu", "ram", "screen", "description")
+    val byId = rows.map(r => r._1 -> Map("name" -> r._2, "cpu" -> r._3, "ram" -> r._4, "screen" -> r._5,
+      "description" -> r._6)).toMap
     val vocab = Set("alpha", "beta", "gamma", "delta", "epsilon", "fast", "slow", "cpu",
       "big", "ram", "hd", "sd", "screen", "long", "description", "here", "other", "text")
-    val sims = Table3.familySims(records, vocab, maxBlockSize = 10)
-    val sol = Table3.solutions.head
-    val scored = sims.select($"a", $"b", Table3.scoreOf(sol).as("score"))
-      .as[(Long, Long, Double)].collect().map(_._3)
-    // matcher equivalent
-    val m = repro.matching.WeightedRuleMatcher(
-      "ref",
-      Table3.attrs.map(a => repro.matching.AttributeRule(a, sol.weights(a))),
-      Seq("name"), maxBlockSize = 10, knownVocab = Some(vocab))
-    val ref = m.score(records).as[(Long, Long, Double)].collect().map(_._3)
-    assert(scored.toSeq.sorted.zip(ref.toSeq.sorted).forall { case (x, y) => math.abs(x - y) < 1e-9 })
+    val sims = Table3.familySims(records, vocab)
+    for (sol <- Table3.solutions) {
+      val scored = sims.select($"a", $"b", Table3.scoreOf(sol).as("score")).as[(Long, Long, Double)].collect()
+      assert(scored.length == 7, sol.name)
+      scored.foreach { case (a, b, got) =>
+        val active = Table3.attrs.filter(at => byId(a)(at) != null || byId(b)(at) != null)
+        val num = active.map(at => sol.weights(at) * Similarity.tokenJaccardKnown(byId(a)(at), byId(b)(at), vocab)).sum
+        val den = active.map(sol.weights).sum
+        val want = if (den > 0) num / den else 0.0
+        assert(math.abs(got - want) < 1e-12, s"${sol.name} ($a, $b): got $got want $want")
+      }
+    }
   }
 
   test("Table3 paper cells cover all 8 family × dataset combinations") {
