@@ -81,7 +81,7 @@ object ErrorAnalysis {
         count(lit(1)).as("cnt"),
         sum(when(col("correct"), 0).otherwise(1)).as("falseCnt"),
       ).collect()(0)
-      val cnt = agg.getAs[Long]("cnt")
+      val cnt = Rows.long(agg, 0)
       val falseCnt = Rows.long(agg, 1)
       Row(a, cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
     }

@@ -11,9 +11,12 @@ final case class ScoredMatch(a: Int, b: Int, score: Double)
   *
   * Both algorithms take the dataset size `n`, the ground-truth clustering
   * (cluster ID per record), the list of scored matches, and the number of
-  * sample points `s`, and return `s` confusion matrices. Matrix `i`
-  * corresponds to the similarity threshold that admits the top
-  * `i * |Matches| / (s-1)` matches (matrix 0 admits none — threshold ∞).
+  * sample points `s`, and return `s` confusion matrices. Matrix `i` admits
+  * the first `i * |Matches| / (s-1)` matches in descending score order
+  * (ties in input order; matrix 0 admits none). With tied scores no
+  * threshold need admit exactly that many: `sweep`'s threshold for point
+  * `i`, the lowest score it admits, admits that score's whole tie group, so
+  * `score >= threshold` can admit more matches than matrix `i` does.
   * Sampling by match *count* rather than by uniform threshold steps follows
   * the paper (Appendix D.1) and avoids empty diagram segments.
   *

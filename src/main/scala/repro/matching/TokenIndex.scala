@@ -166,12 +166,33 @@ private[matching] object TokenIndex {
       i += 1
     }
     val encoded = scoredCols.map(k => order.map(values(k)(_)))
-    // Each record's distinct blocking keys, ascending.
-    val recordKeys = order.map { r =>
-      blockingCols.flatMap(k => Option(values(k)(r)).getOrElse(Array.emptyIntArray))
-        .filter(t => t >= 0 && t < keys).distinct.sorted
-    }
+    val recordKeys = order.map(r => blockingKeys(blockingCols.map(values(_)(r)), keys))
     postings(ids, encoded, recordKeys, keys, maxBlockSize)
+  }
+
+  /** The distinct blocking keys of one record's `values` (sorted, distinct
+    * token IDs each, null for a null value), ascending. The keys are the IDs
+    * in `[0, keys)`, so they are one run of each value: the runs are
+    * concatenated, sorted and de-duplicated as primitives.
+    */
+  private def blockingKeys(values: Array[Array[Int]], keys: Int): Array[Int] = {
+    def firstAtLeast(v: Array[Int], t: Int): Int = {
+      val p = java.util.Arrays.binarySearch(v, t)
+      if (p >= 0) p else -p - 1
+    }
+    val runs = new ArrayBuilder.ofInt
+    values.foreach { v =>
+      if (v != null) { val from = firstAtLeast(v, 0); runs.addAll(v, from, firstAtLeast(v, keys) - from) }
+    }
+    val all = runs.result()
+    java.util.Arrays.sort(all)
+    var distinct = 0
+    var k = 0
+    while (k < all.length) {
+      if (distinct == 0 || all(k) != all(distinct - 1)) { all(distinct) = all(k); distinct += 1 }
+      k += 1
+    }
+    if (distinct == all.length) all else java.util.Arrays.copyOf(all, distinct)
   }
 
   /** What one task returns for its records: its distinct tokens, ascending;

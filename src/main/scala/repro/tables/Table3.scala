@@ -1,11 +1,12 @@
 package repro.tables
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
+import repro.core.{MetricDiagram, PairMetrics, ScoredMatch}
 import repro.emdata.{DatasetSpecs, EmGen}
-import repro.graph.ConnectedComponents
 import repro.matching.Blocking
 
 /** Table 3: transfer of matching solutions across datasets — average
@@ -24,6 +25,13 @@ import repro.matching.Blocking
   * behind the vocabulary-similarity effects of Appendix C.2.
   * Each matcher's threshold is tuned on its home training dataset with the
   * platform's own metric/metric diagram machinery (max f1).
+  *
+  * Scoring runs in Spark; the scored candidates are collected once per
+  * (solution, dataset) and every confusion matrix, tuning and evaluation
+  * alike, comes from the Appendix-D algorithm ([[MetricDiagram]]) on the
+  * driver: an evaluation cell is the last matrix of a two-point diagram over
+  * the candidates scoring at least the tuned threshold, i.e. their
+  * transitive closure against gold.
   */
 object Table3 {
 
@@ -96,6 +104,21 @@ object Table3 {
     thresholds((1 until s).maxBy(i => PairMetrics.f1(matrices(i))))
   }
 
+  /** The scored candidates of `sol` over one of its family's [[familySims]]
+    * tables, those scoring at least `atLeast` when it is set, collected in
+    * one Spark job.
+    */
+  private[tables] def scoredMatches(
+      sims: DataFrame,
+      sol: Solution,
+      atLeast: Option[Double] = None,
+  ): Array[ScoredMatch] = {
+    val scored = sims.select(col("a").cast("int"), col("b").cast("int"), scoreOf(sol).as("score"))
+    atLeast.fold(scored)(t => scored.filter(col("score") >= t))
+      .collect()
+      .map(r => ScoredMatch(r.getInt(0), r.getInt(1), r.getDouble(2)))
+  }
+
   def loadDatasets(spark: SparkSession): Seq[EmGen.EmDataset] =
     Seq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3).map { spec =>
       val d = EmGen.generate(spark, spec)
@@ -122,10 +145,7 @@ object Table3 {
     // Threshold tuning on the home training dataset.
     val thresholds: Map[String, Double] = solutions.map { sol =>
       val home = byName(sol.family)
-      val scored = sims((home.spec.name, sol.family))
-        .select(col("a").cast("int"), col("b").cast("int"), scoreOf(sol).as("score"))
-        .collect()
-        .map(r => ScoredMatch(r.getInt(0), r.getInt(1), r.getDouble(2)))
+      val scored = scoredMatches(sims((home.spec.name, sol.family)), sol)
       sol.name -> tuneThreshold(scored, home.spec.nRecords, home.goldArray)
     }.toMap
 
@@ -134,13 +154,8 @@ object Table3 {
       sol <- solutions
       d <- datasets
     } yield {
-      val t = thresholds(sol.name)
-      val edges = sims((d.spec.name, sol.family))
-        .select(col("a"), col("b"), scoreOf(sol).as("score"))
-        .filter(col("score") >= t)
-        .select(col("a").as("src"), col("b").as("dst"))
-      val clustering = ConnectedComponents.closure(d.records, edges)
-      val cm = MetricsEngine.confusionMatrix(clustering, d.gold, d.spec.nRecords.toLong)
+      val admitted = scoredMatches(sims((d.spec.name, sol.family)), sol, Some(thresholds(sol.name)))
+      val cm = MetricDiagram.custom(d.spec.nRecords, d.goldArray, ArraySeq.unsafeWrapArray(admitted), 2).last
       ((sol.family, d.spec.name), Cell(PairMetrics.precision(cm), PairMetrics.recall(cm), PairMetrics.f1(cm)))
     }
     val cells = perSolution.groupBy(_._1).map { case (key, vs) =>

@@ -1,12 +1,15 @@
 package repro.tables
 
+import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 
 import repro.SparkSpec
-import repro.core.{MetricDiagram, PairMetrics, ScoredMatch}
+import repro.core.{MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
+import repro.emdata.{DatasetSpecs, EmGen}
+import repro.graph.ConnectedComponents
 import repro.matching.{ExperimentGen, Similarity}
 
 /** Unit-level checks of the table harnesses (the full-size runs live in the
@@ -124,6 +127,34 @@ class TablesSpec extends SparkSpec {
         assert(math.abs(got - want) < 1e-12, s"${sol.name} ($a, $b): got $got want $want")
       }
     }
+  }
+
+  test("Table3 evaluates a cell on the driver to the Spark closure's matrix, in one Spark job") {
+    val d = EmGen.generate(spark, DatasetSpecs.tiny(n = 300, seed = 5))
+    d.records.cache().count()
+    val n = d.spec.nRecords
+    val pool = d.spec.pool
+    val vocabs = Map("X2" -> pool.toSet, "X3" -> pool.indices.collect { case i if i % 2 == 0 => pool(i) }.toSet)
+    val sims = vocabs.map { case (fam, vocab) => fam -> Table3.familySims(d.records, vocab).cache() }
+    sims.values.foreach(_.count())
+    for (sol <- Table3.solutions) {
+      val table = sims(sol.family)
+      val scored = Table3.scoredMatches(table, sol)
+      val tuned = Table3.tuneThreshold(scored, n, d.goldArray)
+      // The positive score shared by the most candidates.
+      val ties = scored.groupBy(_.score).collect { case (sc, g) if sc > 0 && g.length >= 2 => (g.length, sc) }
+      assert(ties.nonEmpty, s"${sol.name}: no tied positive scores among ${scored.length} candidates")
+      for (t <- Seq(tuned, ties.max._2)) {
+        val (driver, jobs) =
+          jobsOf(MetricDiagram.custom(n, d.goldArray, Table3.scoredMatches(table, sol, Some(t)).toIndexedSeq, 2).last)
+        assert(jobs == 1, s"${sol.name} at $t: $jobs Spark jobs")
+        val edges = table.filter(Table3.scoreOf(sol) >= t).select(col("a").as("src"), col("b").as("dst"))
+        val reference = MetricsEngine.confusionMatrix(ConnectedComponents.closure(d.records, edges), d.gold, n.toLong)
+        assert(driver == reference, s"${sol.name} at $t: driver $driver, Spark $reference")
+      }
+    }
+    sims.values.foreach(_.unpersist())
+    d.records.unpersist()
   }
 
   test("Table3 paper cells cover all 8 family × dataset combinations") {
