@@ -10,7 +10,7 @@ import repro.tables.Table2
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .appName("frost-table2")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

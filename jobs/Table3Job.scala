@@ -11,7 +11,7 @@ import repro.tables.Table3
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .appName("frost-table3")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -21,16 +21,6 @@ object ClusteringOps {
       .filter(col("a") < col("b"))
       .distinct()
 
-  /** All intra-cluster pairs of a clustering — the pair-set view of an
-    * experiment. Quadratic in cluster sizes; fine for Frost-scale clusters.
-    */
-  def pairsFromClustering(clustering: DataFrame): DataFrame = {
-    val l = clustering.select(col("cluster"), col("id").as("a"))
-    val r = clustering.select(col("cluster").as("cluster2"), col("id").as("b"))
-    l.join(r, l("cluster") === r("cluster2") && col("a") < col("b"))
-      .select(col("a"), col("b"))
-  }
-
   /** Number of intra-cluster pairs, Σ_c C(|c|, 2), without materializing them. */
   def pairCount(clustering: DataFrame): Long =
     Rows.long(clustering.groupBy(col("cluster")).agg(count(lit(1)).as("n"))

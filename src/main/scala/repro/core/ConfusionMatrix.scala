@@ -61,16 +61,4 @@ object ConfusionMatrix {
   private[core] def requireSameRecords(exp: Array[Int], gold: Array[Int]): Unit =
     require(exp.length == gold.length,
       s"clusterings must cover the same records: exp has ${exp.length}, gold has ${gold.length}")
-
-  /** Confusion matrix from explicit pair sets over `n` records. Pairs are
-    * canonicalized to (min, max) before set comparison.
-    */
-  def fromPairSets(n: Long, exp: Set[(Int, Int)], gold: Set[(Int, Int)]): ConfusionMatrix = {
-    def canon(s: Set[(Int, Int)]) = s.map { case (a, b) => (math.min(a, b), math.max(a, b)) }
-    val e = canon(exp); val g = canon(gold)
-    val tp = (e intersect g).size.toLong
-    val fp = (e diff g).size.toLong
-    val fn = (g diff e).size.toLong
-    ConfusionMatrix(tp, fp, fn, pairsOf(n) - tp - fp - fn)
-  }
 }

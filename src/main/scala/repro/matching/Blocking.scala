@@ -47,12 +47,13 @@ object Blocking {
   /** Per-attribute similarity table: the candidate pairs (a, b) of token
     * blocking over `blockingAttrs` with, for each of `attrs`, `act_<attr>`
     * (1.0 when either side is non-null, else 0.0) and `sim_<attr>` (0.0
-    * when either side is null). The similarity is
-    * [[Similarity.tokenJaccardKnown]] with `vocab` set, plain
-    * [[Similarity.tokenJaccard]] without it. One [[TokenIndex]] over
-    * `records` encodes each record once; Spark tasks then emit the
-    * candidate pairs of ranges of its blocks and compute their similarities
-    * in the same row, so the table is computed with no shuffle.
+    * when either side is null). The similarity is the vocabulary-discounted
+    * token Jaccard of [[Similarity.knownJaccard]], the plain token Jaccard
+    * without `vocab`; its string references, `tokenJaccardKnown` and
+    * `tokenJaccard`, live in test scope in `ReferenceSimilarity`. One
+    * [[TokenIndex]] over `records` encodes each record once; Spark tasks
+    * then emit the candidate pairs of ranges of its blocks and compute their
+    * similarities in the same row, so the table is computed with no shuffle.
     *
     * @throws IllegalArgumentException naming the ID, if a record ID is null
     *         or appears more than once
@@ -91,11 +92,14 @@ object Blocking {
     * "material mismatch" mechanism of Frost Section 4.5.2.
     *
     * @throws IllegalArgumentException naming the attribute, if a weight is
-    *         negative or an attribute is listed twice, or if no weight is
-    *         positive
+    *         not finite (NaN or infinite) or negative or an attribute is
+    *         listed twice, or if no weight is positive
     */
   def weightedScore(weights: Seq[(String, Double)]): Column = {
-    weights.foreach { case (at, w) => require(w >= 0, s"negative weight $w for $at") }
+    weights.foreach { case (at, w) =>
+      require(java.lang.Double.isFinite(w), s"non-finite weight $w for $at")
+      require(w >= 0, s"negative weight $w for $at")
+    }
     require(weights.exists(_._2 > 0), s"need a positive weight, got ${weights.mkString(", ")}")
     val repeated = weights.map(_._1).diff(weights.map(_._1).distinct)
     require(repeated.isEmpty, s"one weight per attribute, ${repeated.distinct.mkString(", ")} listed twice")

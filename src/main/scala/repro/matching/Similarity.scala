@@ -1,9 +1,9 @@
 package repro.matching
 
-/** Similarity measures used by the matching solutions: token Jaccard on
-  * strings (plain and vocabulary-discounted), and the vocabulary-discounted
-  * Jaccard of two token sets encoded against one [[TokenDictionary]], which
-  * the similarity tables compute.
+/** Similarity measures used by the matching solutions: whitespace
+  * tokenization, and the vocabulary-discounted token Jaccard of two token
+  * sets encoded against one [[TokenDictionary]], which the similarity tables
+  * compute.
   */
 object Similarity {
 
@@ -34,39 +34,6 @@ object Similarity {
   private def isSpace(c: Char): Boolean =
     c == ' ' || c == '\t' || c == '\n' || c == '\u000B' || c == '\f' || c == '\r'
 
-  /** Jaccard similarity of whitespace token sets; null-safe (null → 0). */
-  def tokenJaccard(a: String, b: String): Double = {
-    val ta = tokens(a); val tb = tokens(b)
-    if (ta.isEmpty || tb.isEmpty) 0.0
-    else {
-      val inter = ta.intersect(tb).size
-      inter.toDouble / (ta.size + tb.size - inter)
-    }
-  }
-
-  /** Vocabulary-discounted token Jaccard: models a solution whose learned
-    * token weights cover only its training vocabulary. Shared tokens the
-    * solution knows count fully, shared tokens it does not know count half
-    * (it sees the string equality but has no learned weight for it):
-    *
-    *   (|A∩B| + |A∩B∩V|) / (2·|A∪B|)
-    *
-    * Equal to the plain token Jaccard when every shared token is known, and
-    * degrading gracefully with the out-of-vocabulary fraction — the
-    * mechanism behind train/test gaps on low-vocabulary-similarity splits
-    * (Frost, Appendix C.2).
-    */
-  def tokenJaccardKnown(a: String, b: String, vocab: Set[String]): Double = {
-    val ta = tokens(a); val tb = tokens(b)
-    if (ta.isEmpty || tb.isEmpty) 0.0
-    else {
-      val inter = ta.intersect(tb)
-      val knownInter = inter.count(vocab.contains)
-      val union = ta.size + tb.size - inter.size
-      (inter.size + knownInter) / (2.0 * union)
-    }
-  }
-
   /** Token IDs of a dataset's distinct tokens, `ids(r)` for the token of
     * rank r. Known tokens (all of them without a vocabulary) are numbered
     * from 0 up: the `blockingKeys` tokens of at least
@@ -96,8 +63,19 @@ object Similarity {
     new TokenDictionary(ids, blockingKeys)
   }
 
-  /** [[tokenJaccardKnown]] over two encoded token sets, as one sorted
-    * merge: shared IDs count once, shared known (>= 0) IDs once more.
+  /** Vocabulary-discounted token Jaccard of two encoded token sets: models
+    * a solution whose learned token weights cover only its training
+    * vocabulary. Shared tokens the solution knows count fully, shared tokens
+    * it does not know count half (it sees the string equality but has no
+    * learned weight for it):
+    *
+    *   (|A∩B| + |A∩B∩V|) / (2·|A∪B|)
+    *
+    * Equal to the plain token Jaccard when every shared token is known, and
+    * degrading gracefully with the out-of-vocabulary fraction — the
+    * mechanism behind train/test gaps on low-vocabulary-similarity splits
+    * (Frost, Appendix C.2). One sorted merge: shared IDs count once, shared
+    * known (>= 0) IDs once more; 0.0 when either set is empty.
     */
   private[matching] def knownJaccard(x: Array[Int], y: Array[Int]): Double =
     if (x.length == 0 || y.length == 0) 0.0

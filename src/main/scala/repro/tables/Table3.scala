@@ -1,11 +1,12 @@
 package repro.tables
 
 import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{MetricDiagram, PairMetrics, ScoredMatch}
+import repro.core.{ConfusionMatrix, MetricDiagram, PairMetrics, ScoredMatch}
 import repro.emdata.{DatasetSpecs, EmGen}
 import repro.matching.Blocking
 
@@ -26,12 +27,12 @@ import repro.matching.Blocking
   * Each matcher's threshold is tuned on its home training dataset with the
   * platform's own metric/metric diagram machinery (max f1).
   *
-  * Scoring runs in Spark; the scored candidates are collected once per
-  * (solution, dataset) and every confusion matrix, tuning and evaluation
-  * alike, comes from the Appendix-D algorithm ([[MetricDiagram]]) on the
-  * driver: an evaluation cell is the last matrix of a two-point diagram over
-  * the candidates scoring at least the tuned threshold, i.e. their
-  * transitive closure against gold.
+  * Scoring runs in Spark; each (dataset, family) similarity table is
+  * collected once, with the scores of all the family's solutions, and every
+  * confusion matrix, tuning and evaluation alike, comes from the Appendix-D
+  * algorithm ([[MetricDiagram]]) on the driver: an evaluation cell is the
+  * last matrix of a two-point diagram over the candidates scoring at least
+  * the tuned threshold, i.e. their transitive closure against gold.
   */
 object Table3 {
 
@@ -100,24 +101,26 @@ object Table3 {
     // With s - 1 <= |scored|, every sample point but the first admits a
     // match, so each of them has a threshold.
     val s = math.min(samplePoints, scored.length + 1).max(2)
-    val (matrices, thresholds) = MetricDiagram.sweep(n, gold, scored, s)
+    val (matrices, thresholds) = MetricDiagram.sweep(n, gold, ArraySeq.unsafeWrapArray(scored), s)
     thresholds((1 until s).maxBy(i => PairMetrics.f1(matrices(i))))
   }
 
-  /** The scored candidates of `sol` over one of its family's [[familySims]]
-    * tables, those scoring at least `atLeast` when it is set, collected in
-    * one Spark job.
+  /** The scored candidates of each of `sols` over one of their family's
+    * [[familySims]] tables, in the table's row order: element k holds
+    * `sols(k)`'s scores. One Spark job collects the pairs and every score.
     */
-  private[tables] def scoredMatches(
-      sims: DataFrame,
-      sol: Solution,
-      atLeast: Option[Double] = None,
-  ): Array[ScoredMatch] = {
-    val scored = sims.select(col("a").cast("int"), col("b").cast("int"), scoreOf(sol).as("score"))
-    atLeast.fold(scored)(t => scored.filter(col("score") >= t))
-      .collect()
-      .map(r => ScoredMatch(r.getInt(0), r.getInt(1), r.getDouble(2)))
+  private[tables] def scoredMatches(sims: DataFrame, sols: Seq[Solution]): Seq[Array[ScoredMatch]] = {
+    val scores = sols.map(sol => scoreOf(sol).as(sol.name))
+    val rows = sims.select(col("a").cast("int") +: col("b").cast("int") +: scores: _*).collect()
+    sols.indices.map(k => rows.map(r => ScoredMatch(r.getInt(0), r.getInt(1), r.getDouble(2 + k))))
   }
+
+  /** The confusion matrix of the candidates scoring at least `t`, i.e. of
+    * their transitive closure against gold, on the driver: the last matrix
+    * of a two-point diagram.
+    */
+  private[tables] def evaluate(n: Int, gold: Array[Int], scored: Array[ScoredMatch], t: Double): ConfusionMatrix =
+    MetricDiagram.custom(n, gold, ArraySeq.unsafeWrapArray(scored.filter(_.score >= t)), 2).last
 
   def loadDatasets(spark: SparkSession): Seq[EmGen.EmDataset] =
     Seq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3).map { spec =>
@@ -128,43 +131,36 @@ object Table3 {
 
   def run(spark: SparkSession): Result = {
     val datasets = loadDatasets(spark)
-    val byName = datasets.map(d => d.spec.name -> d).toMap
     val vocabs = Map(
       "X2" -> DatasetSpecs.x2.pool.toSet,
       "X3" -> DatasetSpecs.x3.pool.toSet,
     )
 
-    // Shared per-(dataset, family) similarity tables.
-    val sims: Map[(String, String), DataFrame] =
-      (for (d <- datasets; fam <- Seq("X2", "X3")) yield {
-        val df = familySims(d.records, vocabs(fam)).cache()
-        df.count()
-        ((d.spec.name, fam), df)
-      }).toMap
-
-    // Threshold tuning on the home training dataset.
-    val thresholds: Map[String, Double] = solutions.map { sol =>
-      val home = byName(sol.family)
-      val scored = scoredMatches(sims((home.spec.name, sol.family)), sol)
-      sol.name -> tuneThreshold(scored, home.spec.nRecords, home.goldArray)
-    }.toMap
-
-    // Evaluate every solution on every dataset; average per family.
-    val perSolution: Seq[((String, String), Cell)] = for {
-      sol <- solutions
-      d <- datasets
-    } yield {
-      val admitted = scoredMatches(sims((d.spec.name, sol.family)), sol, Some(thresholds(sol.name)))
-      val cm = MetricDiagram.custom(d.spec.nRecords, d.goldArray, ArraySeq.unsafeWrapArray(admitted), 2).last
-      ((sol.family, d.spec.name), Cell(PairMetrics.precision(cm), PairMetrics.recall(cm), PairMetrics.f1(cm)))
+    // One pass over the (dataset, family) similarity tables, each collected
+    // once with its family's scores; home tables come first, so a family's
+    // thresholds are tuned before any of its cells is evaluated.
+    val tables = for {
+      home <- Seq(true, false)
+      fam <- Seq("X2", "X3")
+      d <- datasets if (d.spec.name == fam) == home
+    } yield (fam, d)
+    val thresholds = mutable.Map.empty[String, Double]
+    val perSolution: Seq[((String, String), Cell)] = tables.flatMap { case (fam, d) =>
+      val (n, gold) = (d.spec.nRecords, d.goldArray)
+      val sols = solutions.filter(_.family == fam)
+      val scored = sols.zip(scoredMatches(familySims(d.records, vocabs(fam)), sols))
+      if (d.spec.name == fam) scored.foreach { case (sol, s) => thresholds(sol.name) = tuneThreshold(s, n, gold) }
+      scored.map { case (sol, s) =>
+        val cm = evaluate(n, gold, s, thresholds(sol.name))
+        ((fam, d.spec.name), Cell(PairMetrics.precision(cm), PairMetrics.recall(cm), PairMetrics.f1(cm)))
+      }
     }
     val cells = perSolution.groupBy(_._1).map { case (key, vs) =>
       val cs = vs.map(_._2)
       key -> Cell(avg(cs.map(_.precision)), avg(cs.map(_.recall)), avg(cs.map(_.f1)))
     }
-    sims.values.foreach(_.unpersist())
     datasets.foreach(_.records.unpersist())
-    Result(cells, thresholds)
+    Result(cells, thresholds.toMap)
   }
 
   private def avg(xs: Seq[Double]): Double = xs.sum / xs.size

@@ -16,7 +16,7 @@ class ClusteringOpsSpec extends SparkSpec {
 
   test("pairsFromClustering enumerates intra-cluster pairs") {
     val c = clustering((0L, 10L), (1L, 10L), (2L, 10L), (3L, 20L), (4L, 20L), (5L, 30L))
-    val got = ClusteringOps.pairsFromClustering(c).as[(Long, Long)].collect().toSet
+    val got = ReferencePairs.pairsFromClustering(c).as[(Long, Long)].collect().toSet
     assert(got == Set((0L, 1L), (0L, 2L), (1L, 2L), (3L, 4L)))
   }
 
@@ -32,7 +32,7 @@ class ClusteringOpsSpec extends SparkSpec {
 
   test("pairCount agrees with materialized pairsFromClustering on a bigger clustering") {
     val c = (0L until 200L).map(i => (i, i % 13)).toDF("id", "cluster")
-    assert(ClusteringOps.pairCount(c) == ClusteringOps.pairsFromClustering(c).count())
+    assert(ClusteringOps.pairCount(c) == ReferencePairs.pairsFromClustering(c).count())
   }
 
   test("intersection joins the two clusterings by record") {
@@ -55,7 +55,7 @@ class ClusteringOpsSpec extends SparkSpec {
 
   test("oracle: intra-cluster pair enumeration matches a DuckDB self-join") {
     val c = (0L until 30L).map(i => (i, i % 5)).toDF("id", "cluster")
-    val sparkSide = ClusteringOps.pairsFromClustering(c)
+    val sparkSide = ReferencePairs.pairsFromClustering(c)
     Oracle.assertEquivalent(
       sparkSide,
       """SELECT l.id AS a, r.id AS b

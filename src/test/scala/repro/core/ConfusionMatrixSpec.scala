@@ -56,14 +56,14 @@ class ConfusionMatrixSpec extends AnyFunSuite {
   }
 
   test("fromPairSets canonicalizes pair order") {
-    val m = ConfusionMatrix.fromPairSets(3, Set((1, 0)), Set((0, 1)))
+    val m = ReferencePairs.fromPairSets(3, Set((1, 0)), Set((0, 1)))
     assert(m == ConfusionMatrix(tp = 1, fp = 0, fn = 0, tn = 2))
   }
 
   test("fromPairSets basic partitions") {
     val exp = Set((0, 1), (2, 3))
     val gold = Set((0, 1), (1, 2))
-    val m = ConfusionMatrix.fromPairSets(4, exp, gold)
+    val m = ReferencePairs.fromPairSets(4, exp, gold)
     assert(m == ConfusionMatrix(tp = 1, fp = 1, fn = 1, tn = 3))
   }
 
@@ -76,7 +76,7 @@ class ConfusionMatrixSpec extends AnyFunSuite {
       def pairs(c: Array[Int]): Set[(Int, Int)] =
         (for (i <- 0 until n; j <- (i + 1) until n if c(i) == c(j)) yield (i, j)).toSet
       assert(ConfusionMatrix.fromClusterings(exp, gold) ==
-        ConfusionMatrix.fromPairSets(n, pairs(exp), pairs(gold)))
+        ReferencePairs.fromPairSets(n, pairs(exp), pairs(gold)))
     }
   }
 }

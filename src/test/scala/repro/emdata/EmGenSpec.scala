@@ -68,7 +68,7 @@ class EmGenSpec extends SparkSpec {
       for {
         Seq(a, b) <- members.toSeq.combinations(2)
         na <- a._3; nb <- b._3
-      } yield repro.matching.Similarity.tokenJaccard(na, nb)
+      } yield repro.matching.ReferenceSimilarity.tokenJaccard(na, nb)
     }
     assert(sims.nonEmpty)
     assert(sims.sum / sims.size > 0.5, "duplicate name similarity too low")
@@ -80,7 +80,7 @@ class EmGenSpec extends SparkSpec {
     val rnd = new scala.util.Random(5)
     val sims = (1 to 200).flatMap { _ =>
       val a = names(rnd.nextInt(names.length)); val b = names(rnd.nextInt(names.length))
-      if (a._1 != b._1) Some(repro.matching.Similarity.tokenJaccard(a._2, b._2)) else None
+      if (a._1 != b._1) Some(repro.matching.ReferenceSimilarity.tokenJaccard(a._2, b._2)) else None
     }
     assert(sims.sum / sims.size < 0.2, "random cross-cluster names too similar")
   }

@@ -110,6 +110,14 @@ class MatchingSolutionSpec extends SparkSpec {
     assert(e.getMessage.contains("each attribute once"), e.getMessage)
   }
 
+  test("rule matcher rejects non-finite weights, naming the attribute and the value") {
+    def rejects(weights: (String, Double)*): String =
+      intercept[IllegalArgumentException](Blocking.weightedScore(weights)).getMessage
+    assert(rejects("x" -> Double.PositiveInfinity, "y" -> 1.0).contains("non-finite weight Infinity for x"))
+    assert(rejects("x" -> 1.0, "y" -> Double.NaN).contains("non-finite weight NaN for y"))
+    assert(rejects("x" -> Double.NegativeInfinity, "y" -> 1.0).contains("non-finite weight -Infinity for x"))
+  }
+
   test("the similarity table and the candidate pairs are computed with no shuffle") {
     def shuffles(rdd: RDD[_]): Seq[Dependency[_]] = rdd.dependencies.flatMap { d =>
       (d match { case s: ShuffleDependency[_, _, _] => Seq(s); case _ => Nil }) ++ shuffles(d.rdd)
@@ -148,7 +156,7 @@ class MatchingSolutionSpec extends SparkSpec {
         val (a, b) = (row.getAs[Long]("a"), row.getAs[Long]("b"))
         attrs.indices.foreach { k =>
           val (l, r) = (byId(a)(k), byId(b)(k))
-          val want = vocab.fold(Similarity.tokenJaccard(l, r))(Similarity.tokenJaccardKnown(l, r, _))
+          val want = vocab.fold(ReferenceSimilarity.tokenJaccard(l, r))(ReferenceSimilarity.tokenJaccardKnown(l, r, _))
           val got = row.getAs[Double](s"sim_${attrs(k)}")
           assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
             s"($a, $b) ${attrs(k)}: '$l' vs '$r' got $got want $want (vocab $vocab)")

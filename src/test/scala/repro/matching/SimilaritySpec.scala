@@ -16,42 +16,42 @@ class SimilaritySpec extends AnyFunSuite {
   }
 
   test("tokenJaccard identical strings → 1") {
-    assert(Similarity.tokenJaccard("a b c", "c b a") == 1.0)
+    assert(ReferenceSimilarity.tokenJaccard("a b c", "c b a") == 1.0)
   }
 
   test("tokenJaccard disjoint strings → 0") {
-    assert(Similarity.tokenJaccard("a b", "c d") == 0.0)
+    assert(ReferenceSimilarity.tokenJaccard("a b", "c d") == 0.0)
   }
 
   test("tokenJaccard known value") {
-    assert(Similarity.tokenJaccard("a b c", "b c d") == 2.0 / 4)
+    assert(ReferenceSimilarity.tokenJaccard("a b c", "b c d") == 2.0 / 4)
   }
 
   test("tokenJaccard is null-safe and case-insensitive") {
-    assert(Similarity.tokenJaccard(null, "a") == 0.0)
-    assert(Similarity.tokenJaccard("A b", "a B") == 1.0)
+    assert(ReferenceSimilarity.tokenJaccard(null, "a") == 0.0)
+    assert(ReferenceSimilarity.tokenJaccard("A b", "a B") == 1.0)
   }
 
   test("tokenJaccardKnown blends full and vocabulary-restricted overlap") {
     val vocab = Set("a", "b")
     // shared tokens a,b known; union {a,b,x,y} → (2 + 2) / (2·4)
-    assert(Similarity.tokenJaccardKnown("a b x", "a b y", vocab) == 0.5)
+    assert(ReferenceSimilarity.tokenJaccardKnown("a b x", "a b y", vocab) == 0.5)
     // nothing shared → 0 regardless of vocabulary
-    assert(Similarity.tokenJaccardKnown("a x", "b y", vocab) == 0.0)
-    assert(Similarity.tokenJaccardKnown("x", "a", vocab) == 0.0)
+    assert(ReferenceSimilarity.tokenJaccardKnown("a x", "b y", vocab) == 0.0)
+    assert(ReferenceSimilarity.tokenJaccardKnown("x", "a", vocab) == 0.0)
   }
 
   test("tokenJaccardKnown halves the credit of unknown shared tokens") {
     // shared {beta} is out-of-vocabulary: (1 + 0) / (2·3) vs plain 1/3
-    val discounted = Similarity.tokenJaccardKnown("alpha beta", "beta gamma", Set("alpha"))
+    val discounted = ReferenceSimilarity.tokenJaccardKnown("alpha beta", "beta gamma", Set("alpha"))
     assert(math.abs(discounted - 1.0 / 6) < 1e-12)
-    assert(discounted < Similarity.tokenJaccard("alpha beta", "beta gamma"))
+    assert(discounted < ReferenceSimilarity.tokenJaccard("alpha beta", "beta gamma"))
   }
 
   test("tokenJaccardKnown with full vocabulary equals plain jaccard") {
     val a = "p q r"; val b = "q r s"
-    assert(Similarity.tokenJaccardKnown(a, b, Set("p", "q", "r", "s")) ==
-      Similarity.tokenJaccard(a, b))
+    assert(ReferenceSimilarity.tokenJaccardKnown(a, b, Set("p", "q", "r", "s")) ==
+      ReferenceSimilarity.tokenJaccard(a, b))
   }
 
   for (seed <- 1 to 5) {
@@ -60,7 +60,7 @@ class SimilaritySpec extends AnyFunSuite {
       def randStr() = Seq.fill(1 + rnd.nextInt(5))(('a' + rnd.nextInt(4)).toChar.toString * (1 + rnd.nextInt(3))).mkString(" ")
       (1 to 20).foreach { _ =>
         val a = randStr(); val b = randStr()
-        val j1 = Similarity.tokenJaccard(a, b); val j2 = Similarity.tokenJaccard(b, a)
+        val j1 = ReferenceSimilarity.tokenJaccard(a, b); val j2 = ReferenceSimilarity.tokenJaccard(b, a)
         assert(j1 == j2 && j1 >= 0 && j1 <= 1)
       }
     }
@@ -83,7 +83,7 @@ class SimilaritySpec extends AnyFunSuite {
         val (ea, eb) = (encode(a), encode(b))
         // As in the similarity table: a null side scores 0.
         val got = if (ea == null || eb == null) 0.0 else Similarity.knownJaccard(ea, eb)
-        val want = vocab.fold(Similarity.tokenJaccard(a, b))(Similarity.tokenJaccardKnown(a, b, _))
+        val want = vocab.fold(ReferenceSimilarity.tokenJaccard(a, b))(ReferenceSimilarity.tokenJaccardKnown(a, b, _))
         (java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
           s"got $got want $want"
     }

@@ -1,5 +1,7 @@
 package repro.tables
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.Prop.propBoolean
@@ -10,7 +12,7 @@ import repro.SparkSpec
 import repro.core.{MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
 import repro.emdata.{DatasetSpecs, EmGen}
 import repro.graph.ConnectedComponents
-import repro.matching.{ExperimentGen, Similarity}
+import repro.matching.{ExperimentGen, ReferenceSimilarity}
 
 /** Unit-level checks of the table harnesses (the full-size runs live in the
   * bench project). Small workloads keep this fast.
@@ -74,7 +76,7 @@ class TablesSpec extends SparkSpec {
     def reference(scored: Array[ScoredMatch], n: Int, gold: Array[Int], samplePoints: Int): Double = {
       val s = math.min(samplePoints, scored.length + 1).max(2)
       val sorted = scored.sortBy(-_.score)(Ordering.Double.TotalOrdering)
-      val matrices = MetricDiagram.custom(n, gold, sorted, s)
+      val matrices = MetricDiagram.custom(n, gold, ArraySeq.unsafeWrapArray(sorted), s)
       val boundaries = MetricDiagram.boundaries(sorted.length, s)
       val candidates = matrices.zipWithIndex.filter { case (_, i) => boundaries(i) > 0 }
       val best = candidates.maxBy { case (m, _) => PairMetrics.f1(m) }._2
@@ -121,10 +123,33 @@ class TablesSpec extends SparkSpec {
       assert(scored.length == 7, sol.name)
       scored.foreach { case (a, b, got) =>
         val active = Table3.attrs.filter(at => byId(a)(at) != null || byId(b)(at) != null)
-        val num = active.map(at => sol.weights(at) * Similarity.tokenJaccardKnown(byId(a)(at), byId(b)(at), vocab)).sum
+        val num = active.map(at => sol.weights(at) * ReferenceSimilarity.tokenJaccardKnown(byId(a)(at), byId(b)(at), vocab)).sum
         val den = active.map(sol.weights).sum
         val want = if (den > 0) num / den else 0.0
         assert(math.abs(got - want) < 1e-12, s"${sol.name} ($a, $b): got $got want $want")
+      }
+    }
+  }
+
+  test("Table3.scoredMatches collects a family's scores in one Spark job, as its solutions' own selects (property)") {
+    for (seed <- Seq(5L, 6L, 7L)) {
+      val d = EmGen.generate(spark, DatasetSpecs.tiny(n = 300, seed = seed))
+      for ((fam, vocab) <- TablesSpec.vocabs(d.spec.pool)) {
+        val table = Table3.familySims(d.records, vocab)
+        val sols = Table3.solutions.filter(_.family == fam)
+        val (got, jobs) = jobsOf(Table3.scoredMatches(table, sols))
+        assert(jobs == 1, s"seed $seed, $fam: $jobs Spark jobs")
+        assert(got.size == sols.size)
+        for ((sol, scored) <- sols.zip(got)) {
+          val want = table.select(col("a"), col("b"), Table3.scoreOf(sol)).collect()
+          assert(scored.length == want.length, s"seed $seed, ${sol.name}: ${scored.length} vs ${want.length} rows")
+          assert(want.nonEmpty, s"seed $seed, ${sol.name}: no candidates")
+          scored.zip(want).zipWithIndex.foreach { case ((m, r), i) =>
+            val same = m.a.toLong == r.getLong(0) && m.b.toLong == r.getLong(1) &&
+              java.lang.Double.doubleToRawLongBits(m.score) == java.lang.Double.doubleToRawLongBits(r.getDouble(2))
+            assert(same, s"seed $seed, ${sol.name}, row $i: got $m, select gave $r")
+          }
+        }
       }
     }
   }
@@ -133,27 +158,26 @@ class TablesSpec extends SparkSpec {
     val d = EmGen.generate(spark, DatasetSpecs.tiny(n = 300, seed = 5))
     d.records.cache().count()
     val n = d.spec.nRecords
-    val pool = d.spec.pool
-    val vocabs = Map("X2" -> pool.toSet, "X3" -> pool.indices.collect { case i if i % 2 == 0 => pool(i) }.toSet)
-    val sims = vocabs.map { case (fam, vocab) => fam -> Table3.familySims(d.records, vocab).cache() }
-    sims.values.foreach(_.count())
-    for (sol <- Table3.solutions) {
-      val table = sims(sol.family)
-      val scored = Table3.scoredMatches(table, sol)
-      val tuned = Table3.tuneThreshold(scored, n, d.goldArray)
-      // The positive score shared by the most candidates.
-      val ties = scored.groupBy(_.score).collect { case (sc, g) if sc > 0 && g.length >= 2 => (g.length, sc) }
-      assert(ties.nonEmpty, s"${sol.name}: no tied positive scores among ${scored.length} candidates")
-      for (t <- Seq(tuned, ties.max._2)) {
-        val (driver, jobs) =
-          jobsOf(MetricDiagram.custom(n, d.goldArray, Table3.scoredMatches(table, sol, Some(t)).toIndexedSeq, 2).last)
-        assert(jobs == 1, s"${sol.name} at $t: $jobs Spark jobs")
-        val edges = table.filter(Table3.scoreOf(sol) >= t).select(col("a").as("src"), col("b").as("dst"))
-        val reference = MetricsEngine.confusionMatrix(ConnectedComponents.closure(d.records, edges), d.gold, n.toLong)
-        assert(driver == reference, s"${sol.name} at $t: driver $driver, Spark $reference")
+    for ((fam, vocab) <- TablesSpec.vocabs(d.spec.pool)) {
+      val table = Table3.familySims(d.records, vocab)
+      val sols = Table3.solutions.filter(_.family == fam)
+      // The family's one collect is the cells' only Spark job.
+      val (collected, collectJobs) = jobsOf(Table3.scoredMatches(table, sols))
+      assert(collectJobs == 1, s"$fam: the collect started $collectJobs Spark jobs")
+      for ((sol, scored) <- sols.zip(collected)) {
+        val tuned = Table3.tuneThreshold(scored, n, d.goldArray)
+        // The positive score shared by the most candidates.
+        val ties = scored.groupBy(_.score).collect { case (sc, g) if sc > 0 && g.length >= 2 => (g.length, sc) }
+        assert(ties.nonEmpty, s"${sol.name}: no tied positive scores among ${scored.length} candidates")
+        for (t <- Seq(tuned, ties.max._2)) {
+          val (driver, jobs) = jobsOf(Table3.evaluate(n, d.goldArray, scored, t))
+          assert(jobs == 0, s"${sol.name} at $t: the cell started $jobs Spark jobs")
+          val edges = table.filter(Table3.scoreOf(sol) >= t).select(col("a").as("src"), col("b").as("dst"))
+          val reference = MetricsEngine.confusionMatrix(ConnectedComponents.closure(d.records, edges), d.gold, n.toLong)
+          assert(driver == reference, s"${sol.name} at $t: driver $driver, Spark $reference")
+        }
       }
     }
-    sims.values.foreach(_.unpersist())
     d.records.unpersist()
   }
 
@@ -164,6 +188,12 @@ class TablesSpec extends SparkSpec {
 }
 
 object TablesSpec {
+
+  /** Family vocabularies over a tiny dataset's token pool: X2 knows every
+    * token, X3 every other one.
+    */
+  def vocabs(pool: IndexedSeq[String]): Seq[(String, Set[String])] =
+    Seq("X2" -> pool.toSet, "X3" -> pool.indices.collect { case i if i % 2 == 0 => pool(i) }.toSet)
 
   final case class TuneCase(n: Int, gold: Array[Int], scored: Array[ScoredMatch], samplePoints: Int)
 
