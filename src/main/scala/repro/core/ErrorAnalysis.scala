@@ -74,18 +74,20 @@ object ErrorAnalysis {
   ): DataFrame = {
     val left  = records.select((col("id").as("a") +: attrs.map(c => col(c).as(s"la_$c"))).toSeq: _*)
     val right = records.select((col("id").as("b") +: attrs.map(c => col(c).as(s"rb_$c"))).toSeq: _*)
-    val joined = pairs.join(left, Seq("a")).join(right, Seq("b")).cache()
-    val rows = attrs.map { a =>
-      val hit = joined.filter(pred(col(s"la_$a"), col(s"rb_$a")))
-      val agg = hit.agg(
-        count(lit(1)).as("cnt"),
-        sum(when(col("correct"), 0).otherwise(1)).as("falseCnt"),
-      ).collect()(0)
-      val cnt = Rows.long(agg, 0)
-      val falseCnt = Rows.long(agg, 1)
-      Row(a, cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
+    // One aggregation over the join: per attribute, the pairs the predicate
+    // holds for and the misclassified ones among them (a null `correct`
+    // counts as misclassified).
+    val misclassified = !coalesce(col("correct"), lit(false))
+    val counts = attrs.flatMap { a =>
+      val hit = pred(col(s"la_$a"), col(s"rb_$a"))
+      Seq(count(when(hit, true)), count(when(hit && misclassified, true)))
     }
-    joined.unpersist()
+    val agg = pairs.join(left, Seq("a")).join(right, Seq("b")).select(counts: _*).collect()(0)
+    val rows = attrs.indices.map { i =>
+      val cnt = Rows.long(agg, 2 * i)
+      val falseCnt = Rows.long(agg, 2 * i + 1)
+      Row(attrs(i), cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
+    }
     val schema = StructType(Seq(
       StructField("attribute", StringType),
       StructField(countName, LongType, nullable = false),

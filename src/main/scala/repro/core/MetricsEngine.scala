@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, count, lit, when}
 
 /** Spark-side confusion-matrix computation between an experiment clustering
   * and a ground-truth clustering (Frost, Sections 3.2.1 and 5.3: "nearly all
@@ -50,13 +50,20 @@ object MetricsEngine {
   /** Confusion matrix from explicit pair sets (columns a, b) — used for
     * intermediate pipeline stages where results are not transitively closed
     * (e.g. the candidate generation phase, Section 3.2.1).
+    *
+    * One query: a full outer join of the two canonical pair sets, each row
+    * flagged by the side it comes from, and one aggregation of the
+    * experiment, gold and shared pair counts.
     */
   def confusionMatrixFromPairs(expPairs: DataFrame, goldPairs: DataFrame, n: Long): ConfusionMatrix = {
-    val e = ClusteringOps.canonicalPairs(expPairs).cache()
-    val g = ClusteringOps.canonicalPairs(goldPairs).cache()
-    val tp = e.join(g, Seq("a", "b")).count()
-    val ec = e.count(); val gc = g.count()
-    e.unpersist(); g.unpersist()
+    val e = ClusteringOps.canonicalPairs(expPairs).withColumn("inExp", lit(true))
+    val g = ClusteringOps.canonicalPairs(goldPairs).withColumn("inGold", lit(true))
+    val counts = e.join(g, Seq("a", "b"), "full_outer")
+      .agg(count(col("inExp")), count(col("inGold")), count(when(col("inExp") && col("inGold"), true)))
+      .collect()(0)
+    val ec = Rows.long(counts, 0)
+    val gc = Rows.long(counts, 1)
+    val tp = Rows.long(counts, 2)
     val total = ConfusionMatrix.pairsOf(n)
     ConfusionMatrix(tp, ec - tp, gc - tp, total - ec - gc + tp)
   }

@@ -10,6 +10,10 @@ object NoGroundTruth {
   /** Number of pairs missing to transitively close a match set: the pair
     * count of the closure minus the distinct proposed pairs. The larger,
     * the more inconsistent the proposed matches.
+    *
+    * The canonical pair set is cached because two queries read it: the
+    * closure collects it as edges and the proposed pairs are its count.
+    * Without the cache the second query recomputes its `distinct`.
     */
   def missingClosurePairs(records: DataFrame, matchPairs: DataFrame): Long = {
     val pairs = ClusteringOps.canonicalPairs(matchPairs).cache()
@@ -29,19 +33,14 @@ object NoGroundTruth {
     */
   def consensusDeviation(experiments: Seq[DataFrame]): Seq[(Int, Long)] = {
     require(experiments.size >= 2, "consensus needs at least two experiments")
-    val regions = SetComparison.vennRegions(experiments).cache()
-    val half = experiments.size / 2.0
-    val votesExpr = experiments.indices
-      .map(i => when(col("region").bitwiseAND(1L << i) =!= 0, 1).otherwise(0))
-      .reduce(_ + _)
-    val tallied = regions.withColumn("votes", votesExpr).withColumn("majority", votesExpr > half).cache()
-    val out = experiments.indices.map { i =>
-      val has = col("region").bitwiseAND(1L << i) =!= 0
-      val dev = tallied.filter((has && !col("majority")) || (!has && col("majority"))).count()
-      (i, dev)
-    }
-    regions.unpersist(); tallied.unpersist()
-    out
+    val has = experiments.indices.map(i => col("region").bitwiseAND(1L << i) =!= 0)
+    val majority = has.map(h => when(h, 1).otherwise(0)).reduce(_ + _) > experiments.size / 2.0
+    // One aggregation over the Venn regions: per experiment, the pairs it
+    // decides against the majority.
+    val deviations = SetComparison.vennRegions(experiments)
+      .select(has.map(h => count(when(h =!= majority, true))): _*)
+      .collect()(0)
+    experiments.indices.map(i => (i, Rows.long(deviations, i)))
   }
 
   /** Compactness of matched pairs and sparsity of close non-matches

@@ -69,18 +69,17 @@ object PairSelection {
         val byPart = Window.partitionBy(col("partition")).orderBy(rand(seed))
         ranked.withColumn("rn", row_number().over(byPart)).filter(col("rn") <= b).drop("rn")
       case "class" =>
-        // Budget split by correct/incorrect share within the partition.
+        // Budget split by correct/incorrect share within the partition: the
+        // correct class gets its rounded share and the incorrect class the
+        // rest, so the two never exceed `b` together.
         val counts = ranked.groupBy(col("partition"))
           .agg(
             sum(when(col("correct"), 1).otherwise(0)).as("kT"),
             sum(when(col("correct"), 0).otherwise(1)).as("kF"),
           )
+        val correctBudget = round(lit(b) * col("kT") / (col("kT") + col("kF")))
         val withBudget = ranked.join(counts, Seq("partition"))
-          .withColumn(
-            "budget",
-            when(col("correct"), round(lit(b) * col("kT") / (col("kT") + col("kF"))))
-              .otherwise(round(lit(b) * col("kF") / (col("kT") + col("kF")))).cast("int"),
-          )
+          .withColumn("budget", when(col("correct"), correctBudget).otherwise(lit(b) - correctBudget).cast("int"))
         val byClass = Window.partitionBy(col("partition"), col("correct")).orderBy(rand(seed))
         withBudget.withColumn("rn", row_number().over(byClass))
           .filter(col("rn") <= col("budget"))

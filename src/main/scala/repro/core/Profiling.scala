@@ -94,13 +94,18 @@ object Profiling {
 
   /** Vocabulary similarity (VS): Jaccard coefficient of the two datasets'
     * vocabularies (Section 3.1.3).
+    *
+    * One query: each side's tokens are tagged 1 or 2 and the tags summed
+    * per token, so the union is the token count and the intersection the
+    * tokens whose tags sum to 3.
     */
   def vocabularySimilarity(d1: DataFrame, attrs1: Seq[String], d2: DataFrame, attrs2: Seq[String]): Double = {
-    val v1 = vocabulary(d1, attrs1).cache()
-    val v2 = vocabulary(d2, attrs2).cache()
-    val inter = v1.join(v2, Seq("token"), "inner").count()
-    val union = v1.count() + v2.count() - inter
-    v1.unpersist(); v2.unpersist()
+    val tagged = vocabulary(d1, attrs1).withColumn("side", lit(1))
+      .union(vocabulary(d2, attrs2).withColumn("side", lit(2)))
+    val counts = tagged.groupBy(col("token")).agg(sum(col("side")).as("sides"))
+      .agg(count(lit(1)), count(when(col("sides") === 3, true))).collect()(0)
+    val union = Rows.long(counts, 0)
+    val inter = Rows.long(counts, 1)
     if (union == 0) 0.0 else inter.toDouble / union
   }
 

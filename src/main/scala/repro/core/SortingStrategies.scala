@@ -27,8 +27,12 @@ object SortingStrategies {
         .filter(col("token") =!= "")
       val cellCounts = tokens.groupBy(col("id"), col("token")).agg(count(lit(1)).as("cnt"))
       val cellTotals = cellCounts.groupBy(col("id")).agg(sum(col("cnt")).as("cellTotal"))
-      val colTotal   = tokens.count()
-      val colCounts  = tokens.groupBy(col("token")).agg((count(lit(1)) / lit(colTotal.toDouble)).as("columnProb"))
+      // The column's token total joins in as a one-row frame, so building
+      // this plan starts no Spark job.
+      val colTotal   = tokens.agg(count(lit(1)).as("colTotal"))
+      val colCounts  = tokens.groupBy(col("token")).agg(count(lit(1)).as("tokenCount"))
+        .crossJoin(colTotal)
+        .select(col("token"), (col("tokenCount") / col("colTotal")).as("columnProb"))
       cellCounts
         .join(cellTotals, Seq("id"))
         .join(colCounts, Seq("token"))

@@ -37,7 +37,6 @@ object Table2 {
   def run(spark: SparkSession): Result = {
     val specs = Seq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3)
     val datasets = specs.map(EmGen.generate(spark, _))
-    datasets.foreach(_.records.cache())
 
     val attrNames = specs.head.attrs.map(_.name)
     val rows = datasets.map { d =>
@@ -47,7 +46,6 @@ object Table2 {
     }
     val vsD2 = Profiling.vocabularySimilarity(datasets(0).records, attrNames, datasets(1).records, attrNames)
     val vsD3 = Profiling.vocabularySimilarity(datasets(2).records, attrNames, datasets(3).records, attrNames)
-    datasets.foreach(_.records.unpersist())
     Result(rows, vsD2, vsD3)
   }
 

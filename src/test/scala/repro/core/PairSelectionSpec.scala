@@ -67,6 +67,18 @@ class PairSelectionSpec extends SparkSpec {
     }
   }
 
+  test("percentileRepresentatives class sampling spends exactly an odd budget on an even class split") {
+    val got = PairSelection.percentileRepresentatives(pairs, 2, 3, sampling = "class", seed = 2)
+    // 10 correct and 10 incorrect pairs split 5 + 5 per partition: the
+    // correct class rounds 1.5 up to 2 and the incorrect class gets the 1 left.
+    val byPart = got.select("partition", "correct").as[(Int, Boolean)].collect().groupBy(_._1)
+    assert(byPart.keySet == Set(0, 1))
+    byPart.foreach { case (p, v) =>
+      assert(v.length == 3, s"partition $p: ${v.length} representatives for a budget of 3")
+      assert(v.count(_._2) == 2 && v.count(!_._2) == 1, s"partition $p: ${v.toSeq}")
+    }
+  }
+
   test("percentileRepresentatives rejects unknown strategies") {
     assertThrows[RuntimeException](
       PairSelection.percentileRepresentatives(pairs, 2, 2, sampling = "bogus").collect())
