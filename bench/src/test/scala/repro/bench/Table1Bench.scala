@@ -1,5 +1,13 @@
 package repro.bench
 
+import java.io.File
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
+import java.util.Locale
+
+import scala.sys.process.Process
+import scala.util.Try
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.tables.Table1
@@ -11,10 +19,55 @@ import repro.tables.Table1
   * Shape contract (the paper's hardware differs, absolute times will not
   * match): the custom algorithm wins on every dataset, by a growing factor
   * on the larger ones, and stays interactive at 1M records.
+  *
+  * The print test also writes `BENCH_table1.json` at the repository root:
+  * each workload's custom and naive time and speedup, under a one-line
+  * environment banner (cores, max heap, JVM, git revision), so runs on
+  * two commits can be compared.
   */
 class Table1Bench extends AnyFunSuite {
 
-  private lazy val results = Table1.runAll(reps = 2)
+  private val reps = 2
+  private lazy val results = Table1.runAll(reps)
+
+  /** The checkout's root: the nearest directory up from the working
+    * directory that holds `build.sbt`.
+    */
+  private lazy val root: File =
+    Iterator.iterate(new File(".").getCanonicalFile)(_.getParentFile)
+      .takeWhile(_ != null).find(d => new File(d, "build.sbt").isFile)
+      .getOrElse(new File(".").getCanonicalFile)
+
+  private lazy val banner: String = {
+    val rt = Runtime.getRuntime
+    val rev = Try(Process(Seq("git", "describe", "--always", "--dirty"), root).!!.trim).getOrElse("unknown")
+    s"cores ${rt.availableProcessors}, max heap ${rt.maxMemory >> 20} MB, " +
+      s"JVM ${sys.props("java.vm.name")} ${sys.props("java.runtime.version")}, git $rev"
+  }
+
+  private def json(s: String): String = "\"" + s.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
+
+  private def num(x: Double): String = "%.2f".formatLocal(Locale.ROOT, x)
+
+  private def writeJson(): File = {
+    val rows = results.map { r =>
+      s"""    {"dataset": ${json(r.dataset)}, "records": ${r.records}, "matches": ${r.matchedPairs}, """ +
+        s""""custom_ms": ${num(r.customMs)}, "naive_ms": ${num(r.naiveMs)}, "speedup": ${num(r.speedup)}}"""
+    }
+    val text =
+      s"""{
+         |  "environment": ${json(banner)},
+         |  "sample_points": ${Table1.samplePoints},
+         |  "timing": ${json(s"best of $reps reps after a warm-up run, ms")},
+         |  "workloads": [
+         |${rows.mkString(",\n")}
+         |  ]
+         |}
+         |""".stripMargin
+    val file = new File(root, "BENCH_table1.json")
+    Files.write(file.toPath, text.getBytes(StandardCharsets.UTF_8))
+    file
+  }
 
   test("print Table 1 (paper vs measured)") {
     val paper = Map(
@@ -25,11 +78,13 @@ class Table1Bench extends AnyFunSuite {
       "Magellan Songs" -> (6100.0, 403000.0, 66.0),
     )
     println("=== Table 1: Runtime of Metric/Metric Diagrams (100 thresholds) ===")
+    println(banner)
     println(Table1.format(results))
     println("--- paper reference (Node.js on i5 laptop) ---")
     paper.foreach { case (d, (c, n, s)) =>
       println(f"$d%-16s custom ${c}%8.0fms naive ${n}%8.0fms speedup ${s}%5.1fx")
     }
+    println(s"wrote ${writeJson()}")
   }
 
   test("custom beats naive on every dataset") {
