@@ -39,73 +39,88 @@ object MetricDiagram {
     * indices outside `[0, n)`. The message names the offending match.
     */
   private def validate(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch]): Unit = {
-    require(gold.length == n, s"gold clustering covers ${gold.length} records, dataset has $n")
+    checkGold(n, gold)
     var i = 0
-    while (i < matches.length) {
-      val m = matches(i)
-      if (m.score.isNaN) throw new IllegalArgumentException(s"match $i has a NaN score: $m")
-      if (m.a < 0 || m.a >= n || m.b < 0 || m.b >= n)
-        throw new IllegalArgumentException(s"match $i has a record index outside [0, $n): $m")
-      if (m.a == m.b) throw new IllegalArgumentException(s"match $i is a self-pair: $m")
-      i += 1
-    }
+    while (i < matches.length) { checkMatch(n, i, matches(i)); i += 1 }
+  }
+
+  private def checkGold(n: Int, gold: Array[Int]): Unit =
+    require(gold.length == n, s"gold clustering covers ${gold.length} records, dataset has $n")
+
+  private def checkMatch(n: Int, i: Int, m: ScoredMatch): Unit = {
+    if (m.score.isNaN) throw new IllegalArgumentException(s"match $i has a NaN score: $m")
+    if (m.a < 0 || m.a >= n || m.b < 0 || m.b >= n)
+      throw new IllegalArgumentException(s"match $i has a record index outside [0, $n): $m")
+    if (m.a == m.b) throw new IllegalArgumentException(s"match $i is a self-pair: $m")
   }
 
   private def sortedDesc(matches: IndexedSeq[ScoredMatch]): IndexedSeq[ScoredMatch] =
     matches.sortBy(-_.score)
 
+  /** Bits per radix digit: 2,048 buckets, six passes over a 64-bit key. */
+  private final val DigitBits = 11
+  private final val Digits = (64 + DigitBits - 1) / DigitBits
+
   /** The record pairs of `matches` in exactly the order `sortedDesc` gives,
     * as two primitive arrays (`a(j)`, `b(j)`), and their sort keys, the
-    * order-preserving bits of `-score` ([[keyScore]] decodes one).
+    * order-preserving bits of `-score` ([[keyScore]] decodes one). Each
+    * match is checked as `validate` checks it against dataset size `n`.
     *
-    * A stable LSD radix sort over 16-bit digits of the order-preserving bits
+    * A stable LSD radix sort over 11-bit digits of the order-preserving bits
     * of `-score`: flipping the sign bit of a non-negative double and all bits
     * of a negative one makes unsigned comparison of the bits agree with
     * `java.lang.Double.compare`, which is what `sortBy` uses (so `+0.0`
-    * sorts before `-0.0`, and ties keep their input order). Digit passes in
-    * which all keys agree are skipped, and input that is already in order
-    * is copied without a pass.
+    * sorts before `-0.0`, and ties keep their input order). The boxed
+    * matches are read once: that read checks them, packs their keys and
+    * pairs, and counts every digit's histogram. Digit passes in which all
+    * keys agree are skipped, and input that is already in order is copied
+    * without a pass.
     */
-  private[core] def sortedPairs(matches: IndexedSeq[ScoredMatch]): (Array[Int], Array[Int], Array[Long]) = {
+  private[core] def sortedPairs(n: Int, matches: IndexedSeq[ScoredMatch]): (Array[Int], Array[Int], Array[Long]) = {
     val m = matches.length
     var keys = new Array[Long](m)
     var pairs = new Array[Long](m)
+    val radix = 1 << DigitBits
+    val mask = radix - 1L
+    val counts = new Array[Int](Digits << DigitBits)
     var inOrder = true
     var j = 0
     while (j < m) {
       val x = matches(j)
+      checkMatch(n, j, x)
       val bits = java.lang.Double.doubleToRawLongBits(-x.score)
-      keys(j) = bits ^ ((bits >> 63) | Long.MinValue)
+      val key = bits ^ ((bits >> 63) | Long.MinValue)
+      keys(j) = key
       pairs(j) = (x.a.toLong << 32) | (x.b & 0xFFFFFFFFL)
-      if (j > 0 && java.lang.Long.compareUnsigned(keys(j - 1), keys(j)) > 0) inOrder = false
+      if (j > 0 && java.lang.Long.compareUnsigned(keys(j - 1), key) > 0) inOrder = false
+      var d = 0
+      while (d < Digits) { counts((d << DigitBits) + ((key >>> (d * DigitBits)) & mask).toInt) += 1; d += 1 }
       j += 1
     }
     if (!inOrder) {
       var keysTmp = new Array[Long](m)
       var pairsTmp = new Array[Long](m)
-      val offsets = new Array[Int](1 << 16)
-      var shift = 0
-      while (shift < 64) {
-        java.util.Arrays.fill(offsets, 0)
-        j = 0
-        while (j < m) { offsets(((keys(j) >>> shift) & 0xFFFF).toInt) += 1; j += 1 }
-        if (offsets(((keys(0) >>> shift) & 0xFFFF).toInt) != m) {
+      var d = 0
+      while (d < Digits) {
+        val shift = d * DigitBits
+        val base = d << DigitBits
+        if (counts(base + ((keys(0) >>> shift) & mask).toInt) != m) {
           var sum = 0
-          var d = 0
-          while (d < offsets.length) { val c = offsets(d); offsets(d) = sum; sum += c; d += 1 }
+          var k = base
+          while (k < base + radix) { val c = counts(k); counts(k) = sum; sum += c; k += 1 }
           j = 0
           while (j < m) {
-            val d = ((keys(j) >>> shift) & 0xFFFF).toInt
-            val pos = offsets(d)
+            val slot = base + ((keys(j) >>> shift) & mask).toInt
+            val pos = counts(slot)
             keysTmp(pos) = keys(j)
             pairsTmp(pos) = pairs(j)
-            offsets(d) = pos + 1
+            counts(slot) = pos + 1
             j += 1
           }
-          val k = keys; keys = keysTmp; keysTmp = k
+          val k2 = keys; keys = keysTmp; keysTmp = k2
           val p = pairs; pairs = pairsTmp; pairsTmp = p
         }
-        shift += 16
+        d += 1
       }
     }
     val a = new Array[Int](m)
@@ -124,11 +139,15 @@ object MetricDiagram {
     * maintaining the experiment∩ground-truth intersection clustering
     * dynamically. Worst-case O(n + |Matches| * (s + log|Matches|)).
     *
-    * The matches are ordered by a primitive radix sort (`sortedPairs`) into
-    * the same order `naive`'s `sortBy` gives, and the pass runs over the
-    * resulting `Int` arrays. [[DynamicIntersection]] keeps singleton
-    * experiment clusters implicit, so set-up is two arrays of size `n`
-    * (the union-find) and the gold pair count, not a map per record.
+    * The matches are checked and ordered by a primitive radix sort
+    * (`sortedPairs`) into the same order `naive`'s `sortBy` gives, and the
+    * pass runs over the resulting `Int` arrays. Each effective union is a
+    * `trackedUnion` batch of one: [[UnionFind.union]] returns the survivor,
+    * the larger cluster, and [[DynamicIntersection.fold]] folds the absorbed
+    * cluster into it at once. A snapshot reads only the pair counts, so
+    * batching would not change a sample point's matrix. Set-up is three
+    * arrays of size `n` and the gold pair count; the pass allocates nothing
+    * per match, merge or cluster.
     */
   def custom(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] =
     sweep(n, gold, matches, s)._1
@@ -143,8 +162,8 @@ object MetricDiagram {
       matches: IndexedSeq[ScoredMatch],
       s: Int,
   ): (IndexedSeq[ConfusionMatrix], Array[Double]) = {
-    validate(n, gold, matches)
-    val (a, b, keys) = sortedPairs(matches)
+    checkGold(n, gold)
+    val (a, b, keys) = sortedPairs(n, matches)
     val bounds = boundaries(a.length, s)
     val thresholds = bounds.map(k => if (k == 0) Double.PositiveInfinity else keyScore(keys(k - 1)))
     val exp = new UnionFind(n)
@@ -160,9 +179,17 @@ object MetricDiagram {
       ConfusionMatrix(tp, fp, fn, total - tp - fp - fn)
     }
     out += snapshot()
+    var k = 0
     var i = 1
     while (i < s) {
-      intersect.update(exp.trackedUnion(a, b, bounds(i - 1), bounds(i)))
+      while (k < bounds(i)) {
+        val ra = exp.find(a(k)); val rb = exp.find(b(k))
+        if (ra != rb) {
+          val survivor = exp.union(ra, rb)
+          intersect.fold(if (survivor == ra) rb else ra, survivor)
+        }
+        k += 1
+      }
       out += snapshot()
       i += 1
     }

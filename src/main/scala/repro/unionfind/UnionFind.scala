@@ -23,10 +23,15 @@ final case class Merge(target: Int, sources: Vector[Int])
 final class UnionFind(val n: Int) {
   require(n >= 0, s"n must be non-negative, got $n")
 
-  private val parent = Array.tabulate(n)(identity)
-  private val sz     = Array.fill(n)(1)
+  private val parent = new Array[Int](n)
+  private val sz     = new Array[Int](n)
   private var pairs  = 0L
   private var comps  = n
+
+  {
+    var i = 0
+    while (i < n) { parent(i) = i; sz(i) = 1; i += 1 }
+  }
 
   /** Representative of `x`'s cluster (with path compression). */
   def find(x: Int): Int = {
@@ -49,13 +54,15 @@ final class UnionFind(val n: Int) {
   def sameCluster(a: Int, b: Int): Boolean = find(a) == find(b)
 
   /** Merge the clusters of `a` and `b`; returns the surviving representative,
-    * or -1 if they already shared a cluster.
+    * or -1 if they already shared a cluster. The survivor is the root of the
+    * larger of the two clusters (`a`'s on a tie).
     */
   def union(a: Int, b: Int): Int = {
     val ra = find(a); val rb = find(b)
     if (ra == rb) -1
     else {
-      val (big, small) = if (sz(ra) >= sz(rb)) (ra, rb) else (rb, ra)
+      var big = ra; var small = rb
+      if (sz(ra) < sz(rb)) { big = rb; small = ra }
       parent(small) = big
       pairs += sz(big).toLong * sz(small).toLong
       sz(big) += sz(small)
@@ -68,44 +75,20 @@ final class UnionFind(val n: Int) {
     *
     * Per the paper: one [[Merge]] entry per surviving (post-batch) cluster
     * that absorbed at least one other pre-batch cluster, listing every
-    * pre-batch representative now contained in it.
+    * pre-batch representative now contained in it. A root is only ever
+    * replaced by the root it is unioned into, so every root seen during the
+    * batch is a pre-batch root.
     */
   def trackedUnion(batch: IterableOnce[(Int, Int)]): Vector[Merge] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
-    val it  = batch.iterator
+    val merged = mutable.ArrayBuffer.empty[Int]
+    val it = batch.iterator
     while (it.hasNext) {
       val (a, b) = it.next()
-      trackedStep(acc, a, b)
+      val ra = find(a); val rb = find(b)
+      if (ra != rb) { merged += ra; merged += rb; union(ra, rb) }
     }
-    merges(acc)
+    merged.distinct.groupBy(find).iterator.map { case (t, srcs) => Merge(t, srcs.toVector) }.toVector
   }
-
-  /** [[trackedUnion]] over the pairs `(a(k), b(k))` for `k` in
-    * `[from, until)`, without boxing them into tuples.
-    */
-  private[repro] def trackedUnion(a: Array[Int], b: Array[Int], from: Int, until: Int): Vector[Merge] = {
-    val acc = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
-    var k = from
-    while (k < until) { trackedStep(acc, a(k), b(k)); k += 1 }
-    merges(acc)
-  }
-
-  /** Unions `a` and `b`, recording in `acc` (post-root -> pre-batch roots
-    * merged into it) which pre-batch clusters the surviving root absorbed.
-    */
-  private def trackedStep(acc: mutable.LongMap[mutable.ArrayBuffer[Int]], a: Int, b: Int): Unit = {
-    val ra = find(a); val rb = find(b)
-    if (ra != rb) {
-      var srcA = acc.getOrNull(ra.toLong)
-      if (srcA == null) srcA = mutable.ArrayBuffer(ra) else acc -= ra.toLong
-      val srcB = acc.getOrNull(rb.toLong)
-      if (srcB == null) srcA += rb else { acc -= rb.toLong; srcA ++= srcB }
-      acc(union(ra, rb).toLong) = srcA
-    }
-  }
-
-  private def merges(acc: mutable.LongMap[mutable.ArrayBuffer[Int]]): Vector[Merge] =
-    acc.iterator.map { case (tgt, srcs) => Merge(tgt.toInt, srcs.toVector) }.toVector
 
   /** Cluster assignment snapshot: record index -> representative. */
   def toClustering: Array[Int] = Array.tabulate(n)(find)

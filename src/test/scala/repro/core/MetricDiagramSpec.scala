@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.core.SameDiagram.assertSame
 import repro.matching.ExperimentGen
 
 class MetricDiagramSpec extends AnyFunSuite {
@@ -84,8 +85,7 @@ class MetricDiagramSpec extends AnyFunSuite {
     val matches = IndexedSeq(
       ScoredMatch(0, 1, 0.9), ScoredMatch(1, 0, 0.8), ScoredMatch(0, 2, 0.7), ScoredMatch(1, 2, 0.6))
     val c = MetricDiagram.custom(3, gold, matches, 5)
-    val n = MetricDiagram.naive(3, gold, matches, 5)
-    assert(c == n)
+    assertSame("custom", c, "naive", MetricDiagram.naive(3, gold, matches, 5))
     assert(c.last == ConfusionMatrix(3, 0, 0, 0))
   }
 
@@ -152,8 +152,7 @@ class MetricDiagramSpec extends AnyFunSuite {
         ScoredMatch(a, b, rnd.nextDouble())
       }
       val s = 2 + rnd.nextInt(9)
-      assert(MetricDiagram.custom(n, gold, matches, s) ==
-        MetricDiagram.naive(n, gold, matches, s))
+      assertSame("custom", MetricDiagram.custom(n, gold, matches, s), "naive", MetricDiagram.naive(n, gold, matches, s))
     }
   }
 
@@ -182,18 +181,68 @@ class MetricDiagramSpec extends AnyFunSuite {
         case 1 => shuffled.sortBy(-_.score)
         case _ => shuffled.sortBy(_.score)
       }
-      val (a, b, _) = MetricDiagram.sortedPairs(matches)
-      assert(a.toSeq.zip(b) == matches.sortBy(-_.score).map(m => (m.a, m.b)))
       val s = if (rnd.nextBoolean()) (matches.length + 1).max(2) else 2 + rnd.nextInt(9)
-      assert(MetricDiagram.custom(n, gold, matches, s) ==
-        MetricDiagram.naive(n, gold, matches, s))
-      // Each point's threshold is the score of the last match it admits.
-      val thresholds = MetricDiagram.sweep(n, gold, matches, s)._2
-      val lowest = MetricDiagram.boundaries(matches.length, s).map { k =>
-        if (k == 0) Double.PositiveInfinity else matches.sortBy(-_.score).apply(k - 1).score
+      checkSweep(n, gold, matches, s)
+    }
+  }
+
+  /** `sortedPairs` gives `sortBy(-score)`'s order, custom equals naive at
+    * every sample point, and each point's threshold is, bit for bit, the
+    * score of the last match it admits.
+    */
+  private def checkSweep(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): Unit = {
+    val sorted = matches.sortBy(-_.score)
+    val (a, b, _) = MetricDiagram.sortedPairs(n, matches)
+    val order = a.toSeq.zip(b)
+    assert(order.length == sorted.length)
+    val firstOff = order.indices.indexWhere(j => order(j) != ((sorted(j).a, sorted(j).b)))
+    if (firstOff >= 0) fail(s"sortedPairs differs from sortBy first at match $firstOff: ${order(firstOff)} vs ${sorted(firstOff)}")
+    val (custom, thresholds) = MetricDiagram.sweep(n, gold, matches, s)
+    assertSame("custom", custom, "naive", MetricDiagram.naive(n, gold, matches, s))
+    val lowest = MetricDiagram.boundaries(matches.length, s).map { k =>
+      if (k == 0) Double.PositiveInfinity else sorted(k - 1).score
+    }
+    assert(thresholds.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+      lowest.map(java.lang.Double.doubleToRawLongBits).toSeq)
+  }
+
+  // Aim-3 inputs at a size where clusters merge unevenly and the
+  // intersection table grows: gold IDs at the Int extremes and sparse
+  // negatives, chain- and star-shaped match sets, duplicates in both
+  // orientations, and scores from -∞ to +∞ through ±0.0, subnormals and
+  // arbitrary bit patterns, so that every radix digit varies.
+  for (seed <- 1 to 8) {
+    test(s"custom ≡ naive on extreme gold IDs and scores over chains and stars (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 500 + rnd.nextInt(2500)
+      val ids = Array(Int.MinValue, -1, 0, Int.MaxValue) ++
+        Array.fill(n / 8)(if (rnd.nextBoolean()) -1 - rnd.nextInt(Int.MaxValue) else rnd.nextInt(Int.MaxValue))
+      val gold = Array.fill(n)(ids(rnd.nextInt(ids.length)))
+      val extremes = Array(
+        Double.PositiveInfinity, Double.NegativeInfinity, 0.0, -0.0, Double.MaxValue, -Double.MaxValue,
+        Double.MinPositiveValue, -Double.MinPositiveValue, java.lang.Double.MIN_NORMAL / 3, 1.0, 0.5)
+      def score(): Double = rnd.nextInt(3) match {
+        case 0 => extremes(rnd.nextInt(extremes.length))
+        case 1 => rnd.nextDouble()
+        case _ =>
+          val x = java.lang.Double.longBitsToDouble(rnd.nextLong())
+          if (x.isNaN) 0.25 else x
       }
-      assert(thresholds.map(java.lang.Double.doubleToRawLongBits).toSeq ==
-        lowest.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      val distinct = IndexedSeq.newBuilder[ScoredMatch]
+      (1 to 1 + rnd.nextInt(12)).foreach { _ =>
+        val members = rnd.shuffle((0 until n).toIndexedSeq).take(2 + rnd.nextInt(n / 4))
+        if (rnd.nextBoolean()) // a chain
+          members.sliding(2).foreach(p => distinct += ScoredMatch(p(0), p(1), score()))
+        else // a star
+          members.tail.foreach(leaf => distinct += ScoredMatch(members.head, leaf, score()))
+      }
+      val once = distinct.result()
+      val dups = once.filter(_ => rnd.nextInt(4) == 0).map { m =>
+        val again = if (rnd.nextBoolean()) m else m.copy(a = m.b, b = m.a)
+        again.copy(score = score())
+      }
+      val matches = rnd.shuffle(once ++ dups)
+      checkSweep(n, gold, matches, 2 + rnd.nextInt(80))
     }
   }
 }

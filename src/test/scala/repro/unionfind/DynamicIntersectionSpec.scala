@@ -3,6 +3,9 @@ package repro.unionfind
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.core.{ConfusionMatrix, MetricDiagram, ScoredMatch}
+import repro.core.SameDiagram.assertSame
+
 class DynamicIntersectionSpec extends AnyFunSuite {
 
   /** Brute-force TP: pairs agreeing in both exp and gold cluster. */
@@ -57,6 +60,55 @@ class DynamicIntersectionSpec extends AnyFunSuite {
     assert(merges.map(_.target) == Vector(uf.find(0)))
     assert(di.intersectionSizes(uf.find(0)) == Map(0L -> 3L, 1L -> 1L, 2L -> 1L))
     assert(di.pairCount == 3)
+  }
+
+  test("a merge whose target is not its largest source folds every source into the target") {
+    // Pre-batch clusters {0..4} (size 5), {5,6,7} and {8,9,10} (size 3 each).
+    // The two 3s merge first, so a 3's root survives the 5 and is the target.
+    val gold = Array(0, 0, 0, 1, 1, 0, 1, 2, 1, 2, 2)
+    val uf = new UnionFind(11)
+    val di = new DynamicIntersection(gold)
+    di.update(uf.trackedUnion(Seq((0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (8, 9), (9, 10))))
+    val (five, three, otherThree) = (uf.find(0), uf.find(5), uf.find(8))
+    val merges = uf.trackedUnion(Seq((5, 8), (8, 0)))
+    assert(merges.map(_.target) == Vector(three))
+    assert(merges.head.sources.sorted == Vector(five, three, otherThree).sorted)
+    di.update(merges)
+    assert(di.pairCount == bruteTp(uf.toClustering, gold))
+    assert(di.intersectionSizes(three) == Map(0L -> 4L, 1L -> 4L, 2L -> 3L))
+  }
+
+  // Algorithm 1 replayed through the public batched API, one trackedUnion
+  // batch and one update per sample point, as the benchmark's traced run
+  // does; it must give exactly MetricDiagram.custom's matrices.
+  private def replay(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] = {
+    val sorted = matches.sortBy(-_.score)
+    val bounds = MetricDiagram.boundaries(sorted.length, s)
+    val exp = new UnionFind(n)
+    val intersect = new DynamicIntersection(gold)
+    val goldPairs = gold.groupBy(identity).values.map(c => ConfusionMatrix.pairsOf(c.length.toLong)).sum
+    val total = ConfusionMatrix.pairsOf(n.toLong)
+    (0 until s).map { i =>
+      if (i > 0) intersect.update(exp.trackedUnion(sorted.slice(bounds(i - 1), bounds(i)).map(m => (m.a, m.b))))
+      val tp = intersect.pairCount
+      val fp = exp.pairCount - tp
+      val fn = goldPairs - tp
+      ConfusionMatrix(tp, fp, fn, total - tp - fp - fn)
+    }
+  }
+
+  for (seed <- 1 to 10) {
+    test(s"trackedUnion and update replay MetricDiagram.custom (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 20 + rnd.nextInt(400)
+      val gold = Array.fill(n)(rnd.nextInt(1 + n / 4) - n / 8)
+      val matches = IndexedSeq.fill(rnd.nextInt(4 * n)) {
+        val a = rnd.nextInt(n)
+        ScoredMatch(a, (a + 1 + rnd.nextInt(n - 1)) % n, rnd.nextInt(20) / 20.0)
+      }
+      val s = if (rnd.nextBoolean()) (matches.length + 1).max(2) else 2 + rnd.nextInt(30)
+      assertSame("replay", replay(n, gold, matches, s), "custom", MetricDiagram.custom(n, gold, matches, s))
+    }
   }
 
   test("merging two records of the same gold cluster yields one TP") {

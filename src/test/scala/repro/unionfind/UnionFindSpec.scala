@@ -112,21 +112,29 @@ class UnionFindSpec extends AnyFunSuite {
     assert(merges.head.sources.toSet == Set(r01, 2))
   }
 
+  // MetricDiagram's pass unions one pair at a time and folds the absorbed
+  // cluster into the survivor: a trackedUnion batch of one.
   for (seed <- 1 to 5) {
-    test(s"array trackedUnion returns the same merges as the tuple overload (seed=$seed)") {
+    test(s"union returns the larger root, as trackedUnion batches do (seed=$seed)") {
       val rnd = new Random(seed)
       val n = 50
-      val viaTuples = new UnionFind(n)
-      val viaArrays = new UnionFind(n)
+      val batched = new UnionFind(n)
+      val single = new UnionFind(n)
       (1 to 8).foreach { _ =>
-        val k = 1 + rnd.nextInt(20)
-        val a = Array.fill(k)(rnd.nextInt(n))
-        val b = Array.fill(k)(rnd.nextInt(n))
-        val from = rnd.nextInt(k)
-        val until = from + rnd.nextInt(k - from + 1)
-        val expected = viaTuples.trackedUnion((from until until).map(i => (a(i), b(i))))
-        assert(viaArrays.trackedUnion(a, b, from, until) == expected)
-        assert(viaArrays.toClustering.sameElements(viaTuples.toClustering))
+        val batch = Seq.fill(1 + rnd.nextInt(20))((rnd.nextInt(n), rnd.nextInt(n)))
+        batched.trackedUnion(batch)
+        batch.foreach { case (a, b) =>
+          val (ra, rb) = (single.find(a), single.find(b))
+          val (sa, sb) = (single.size(a), single.size(b))
+          val survivor = single.union(a, b)
+          if (ra == rb) assert(survivor == -1)
+          else {
+            assert(survivor == (if (sa >= sb) ra else rb))
+            assert(single.size(survivor) == sa + sb)
+          }
+        }
+        assert(single.toClustering.sameElements(batched.toClustering))
+        assert(single.pairCount == batched.pairCount)
       }
     }
   }
