@@ -64,22 +64,17 @@ object Table1 {
   }
 
   /** Run one workload; asserts both algorithms produce identical confusion
-    * matrices before trusting the timings. `reps` timed repetitions, best
-    * taken (JIT-stable).
+    * matrices before trusting the timings. Custom runs once untimed, then
+    * its `reps` timed repetitions run back to back, then naive's, so no
+    * custom timing follows a naive run on the same heap; the best of each
+    * is taken (JIT-stable).
     */
   def run(w: Workload, reps: Int = 2): Result = {
     val (gold, matches) = build(w)
-    var customBest = Double.MaxValue
-    var naiveBest = Double.MaxValue
-    var customOut: IndexedSeq[ConfusionMatrix] = null
-    var naiveOut: IndexedSeq[ConfusionMatrix] = null
-    (1 to reps).foreach { _ =>
-      val (c, ct) = timeMs(MetricDiagram.custom(w.records, gold, matches, samplePoints))
-      val (n, nt) = timeMs(MetricDiagram.naive(w.records, gold, matches, samplePoints))
-      customOut = c; naiveOut = n
-      customBest = math.min(customBest, ct)
-      naiveBest = math.min(naiveBest, nt)
-    }
+    def best(f: => IndexedSeq[ConfusionMatrix]) = (1 to reps).map(_ => timeMs(f)).minBy(_._2)
+    MetricDiagram.custom(w.records, gold, matches, samplePoints)
+    val (customOut, customBest) = best(MetricDiagram.custom(w.records, gold, matches, samplePoints))
+    val (naiveOut, naiveBest) = best(MetricDiagram.naive(w.records, gold, matches, samplePoints))
     require(customOut == naiveOut, {
       val i = customOut.indices.find(i => customOut(i) != naiveOut.lift(i).orNull).getOrElse(customOut.length)
       s"${w.dataset}: custom and naive disagree first at sample point $i — custom ${customOut.lift(i)}, naive ${naiveOut.lift(i)}"
@@ -87,9 +82,12 @@ object Table1 {
     Result(w.dataset, w.records, w.matchedPairs, customBest, naiveBest)
   }
 
-  /** Run all workloads (with a JIT warmup on the smallest). */
+  /** Run all workloads after one untimed pass over all of them: a warm-up
+    * on the smallest alone left custom's code uncompiled by the JIT when the
+    * small workloads were timed.
+    */
   def runAll(reps: Int = 2): Seq[Result] = {
-    run(workloads.head, reps = 1) // warmup
+    workloads.foreach(run(_, reps = 1))
     workloads.map(run(_, reps))
   }
 
