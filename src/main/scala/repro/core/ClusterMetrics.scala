@@ -1,30 +1,15 @@
 package repro.core
 
-import scala.collection.mutable
+import java.util.Arrays
 
 /** Cluster-based quality metrics (Frost, Section 3.2.2). These compare the
   * experiment clustering and the ground-truth clustering directly, making
   * them immune to the true-negative class imbalance of pair-based metrics.
   *
   * Clusterings are given as cluster-ID-per-record arrays over the same
-  * record indexing.
+  * record indexing. Every metric reads their [[Contingency]] table.
   */
 object ClusterMetrics {
-
-  private def clustersOf(assign: Array[Int]): Map[Int, Set[Int]] = {
-    val m = mutable.HashMap.empty[Int, mutable.Set[Int]]
-    var i = 0
-    while (i < assign.length) {
-      m.getOrElseUpdate(assign(i), mutable.Set.empty[Int]) += i
-      i += 1
-    }
-    m.iterator.map { case (k, v) => k -> v.toSet }.toMap
-  }
-
-  private def jaccard(a: Set[Int], b: Set[Int]): Double = {
-    val inter = a.intersect(b).size
-    if (inter == 0) 0.0 else inter.toDouble / (a.size + b.size - inter)
-  }
 
   /** Closest-cluster precision: mean over experiment clusters of the best
     * Jaccard similarity to any ground-truth cluster (Benjelloun et al. /
@@ -32,7 +17,7 @@ object ClusterMetrics {
     */
   def closestClusterPrecision(exp: Array[Int], gold: Array[Int]): Double = {
     ConfusionMatrix.requireSameRecords(exp, gold)
-    meanBestJaccard(clustersOf(exp), clustersOf(gold))
+    meanBestJaccard(exp, gold)
   }
 
   /** Closest-cluster recall: mean over ground-truth clusters of the best
@@ -40,7 +25,7 @@ object ClusterMetrics {
     */
   def closestClusterRecall(exp: Array[Int], gold: Array[Int]): Double = {
     ConfusionMatrix.requireSameRecords(exp, gold)
-    meanBestJaccard(clustersOf(gold), clustersOf(exp))
+    meanBestJaccard(gold, exp)
   }
 
   /** Closest-cluster f1 (harmonic mean of the above). */
@@ -50,16 +35,22 @@ object ClusterMetrics {
     if (p + r == 0) 0.0 else 2 * p * r / (p + r)
   }
 
-  private def meanBestJaccard(from: Map[Int, Set[Int]], to: Map[Int, Set[Int]]): Double = {
-    if (from.isEmpty) return 0.0
-    // Only clusters sharing at least one record can have Jaccard > 0, so we
-    // index `to` by record to avoid the quadratic cluster cross-product.
-    val byRecord = mutable.HashMap.empty[Int, Set[Int]]
-    to.values.foreach(c => c.foreach(r => byRecord(r) = c))
-    val total = from.values.iterator.map { c =>
-      c.iterator.flatMap(byRecord.get).distinct.map(jaccard(c, _)).maxOption.getOrElse(0.0)
-    }.sum
-    total / from.size
+  /** Mean over the clusters of `from` of the best Jaccard similarity to a
+    * cluster of `to`. Only clusters that share a record, a cell of the
+    * table, have Jaccard > 0: s / (|f| + |t| - s) for a cell of size s.
+    */
+  private def meanBestJaccard(from: Array[Int], to: Array[Int]): Double = {
+    val table = Contingency(from, to)
+    // `to` against itself has one cell per cluster of `to`, in ascending ID order.
+    val toClusters = Contingency(to, to)
+    val best = table.rowSize.indices.map { r =>
+      (table.rowStart(r) until table.rowStart(r + 1)).map { c =>
+        val s = table.cellSize(c)
+        val t = toClusters.rowSize(Arrays.binarySearch(toClusters.cellCol, table.cellCol(c)))
+        s.toDouble / (table.rowSize(r).toLong + t - s)
+      }.max
+    }
+    if (best.isEmpty) 0.0 else best.sum / best.length
   }
 
   /** Variation of information (Meilă 2003): H(exp|gold) + H(gold|exp).
@@ -69,23 +60,10 @@ object ClusterMetrics {
     ConfusionMatrix.requireSameRecords(exp, gold)
     val n = exp.length.toDouble
     if (n == 0) return 0.0
-    val pe = mutable.LongMap.empty[Long]; val pg = mutable.LongMap.empty[Long]
-    val joint = mutable.HashMap.empty[(Int, Int), Long]
-    var i = 0
-    while (i < exp.length) {
-      pe(exp(i).toLong) = pe.getOrElse(exp(i).toLong, 0L) + 1
-      pg(gold(i).toLong) = pg.getOrElse(gold(i).toLong, 0L) + 1
-      val k = (exp(i), gold(i))
-      joint(k) = joint.getOrElse(k, 0L) + 1
-      i += 1
-    }
-    def h(counts: Iterator[Long]): Double =
-      -counts.map(_ / n).filter(_ > 0).map(p => p * math.log(p)).sum
-    val hE = h(pe.values.iterator)
-    val hG = h(pg.values.iterator)
-    val hJoint = h(joint.valuesIterator)
-    // VI = 2*H(joint) - H(E) - H(G)
-    2 * hJoint - hE - hG
+    def h(sizes: Array[Int]): Double = -sizes.iterator.map(_ / n).map(p => p * math.log(p)).sum
+    val table = Contingency(exp, gold)
+    // VI = 2*H(joint) - H(E) - H(G); the gold sizes are the swapped table's rows.
+    2 * h(table.cellSize) - h(table.rowSize) - h(Contingency(gold, exp).rowSize)
   }
 
   /** Generalized merge distance (Menestrina, Whang, Garcia-Molina 2010) with
@@ -110,36 +88,21 @@ object ClusterMetrics {
     // Slice algorithm: split every experiment cluster into its gold-pure
     // parts (split costs), then build each gold cluster by merging its parts
     // (merge costs). This ordering is cost-minimal for monotone cost models.
-    val costs = mutable.ArrayBuffer.empty[Double]
-    // parts: per experiment cluster, sizes grouped by gold cluster
-    val parts = mutable.HashMap.empty[Int, mutable.LongMap[Long]]
-    var i = 0
-    while (i < exp.length) {
-      val m = parts.getOrElseUpdate(exp(i), mutable.LongMap.empty[Long])
-      m(gold(i).toLong) = m.getOrElse(gold(i).toLong, 0L) + 1
-      i += 1
+    // A cluster's parts are its row's cells: (exp, gold) rows split, (gold, exp) rows merge.
+    val costs = Array.newBuilder[Double]
+    def sortedParts(table: Contingency): Iterator[Array[Int]] = table.rowSize.indices.iterator.map { r =>
+      val parts = Arrays.copyOfRange(table.cellSize, table.rowStart(r), table.rowStart(r + 1))
+      Arrays.sort(parts)
+      parts
     }
-    parts.values.foreach { m =>
-      if (m.size > 1) {
-        // Sequentially split parts off the remainder.
-        var remaining = m.values.sum
-        m.values.toSeq.sorted.dropRight(1).foreach { part =>
-          costs += fs(part, remaining - part)
-          remaining -= part
-        }
-      }
+    for (parts <- sortedParts(Contingency(exp, gold))) {
+      var remaining = parts.sum.toLong
+      parts.init.foreach { part => costs += fs(part, remaining - part); remaining -= part }
     }
-    // merges: per gold cluster, the pure parts contributed by experiment clusters
-    val goldParts = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
-    parts.foreach { case (_, m) =>
-      m.foreach { case (g, cnt) =>
-        goldParts.getOrElseUpdate(g.toInt, mutable.ArrayBuffer.empty[Long]) += cnt
-      }
+    for (parts <- sortedParts(Contingency(gold, exp))) {
+      var merged = parts(0).toLong
+      parts.tail.foreach { part => costs += fm(merged, part); merged += part }
     }
-    goldParts.values.map(_.sorted).foreach { sizes =>
-      var acc = sizes.head
-      sizes.tail.foreach { s => costs += fm(acc, s); acc += s }
-    }
-    costs.sorted(Ordering.Double.TotalOrdering).sum
+    costs.result().sorted(Ordering.Double.TotalOrdering).sum
   }
 }

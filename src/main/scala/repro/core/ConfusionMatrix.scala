@@ -25,34 +25,20 @@ object ConfusionMatrix {
   /** Number of unordered pairs among `n` records. */
   def pairsOf(n: Long): Long = n * (n - 1) / 2
 
-  /** Confusion matrix from cluster assignments.
+  /** Confusion matrix from cluster assignments, read off their
+    * [[Contingency]] table: TP is the pairs inside its cells, TP + FP and
+    * TP + FN those inside the experiment and the gold clusters.
     *
     * @param exp   experiment cluster ID per record
     * @param gold  ground-truth cluster ID per record (same indexing)
     */
   def fromClusterings(exp: Array[Int], gold: Array[Int]): ConfusionMatrix = {
     requireSameRecords(exp, gold)
-    val n = exp.length.toLong
-    def pairSum(assign: Array[Int]): Long = {
-      val counts = new scala.collection.mutable.LongMap[Long]
-      assign.foreach(c => counts(c.toLong) = counts.getOrElse(c.toLong, 0L) + 1)
-      counts.values.map(pairsOf).sum
-    }
-    val expPairs  = pairSum(exp)
-    val goldPairs = pairSum(gold)
-    // TP = pairs of the intersection clustering (records agreeing on both IDs).
-    val inter = new scala.collection.mutable.HashMap[(Int, Int), Long]
-    var i = 0
-    while (i < exp.length) {
-      val k = (exp(i), gold(i))
-      inter(k) = inter.getOrElse(k, 0L) + 1
-      i += 1
-    }
-    val tp = inter.valuesIterator.map(pairsOf).sum
-    val fp = expPairs - tp
-    val fn = goldPairs - tp
-    val tn = pairsOf(n) - tp - fp - fn
-    ConfusionMatrix(tp, fp, fn, tn)
+    val table = Contingency(exp, gold)
+    val tp = Contingency.pairSum(table.cellSize)
+    val fp = Contingency.pairSum(table.rowSize) - tp
+    val fn = Contingency.clusterPairs(gold) - tp
+    ConfusionMatrix(tp, fp, fn, pairsOf(exp.length.toLong) - tp - fp - fn)
   }
 
   /** Fails unless two cluster assignments cover the same number of

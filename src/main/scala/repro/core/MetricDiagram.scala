@@ -173,7 +173,7 @@ object MetricDiagram {
     val thresholds = bounds.map(k => if (k == 0) Double.PositiveInfinity else keyScore(keys(k - 1)))
     val exp = new UnionFind(n)
     val intersect = new DynamicIntersection(gold)
-    val goldPairs = goldPairCount(gold)
+    val goldPairs = Contingency.clusterPairs(gold)
     val total = ConfusionMatrix.pairsOf(n.toLong)
 
     val out = IndexedSeq.newBuilder[ConfusionMatrix]
@@ -227,24 +227,5 @@ object MetricDiagram {
     val fx = PairMetrics.byName.getOrElse(xMetric, sys.error(s"unknown metric $xMetric"))
     val fy = PairMetrics.byName.getOrElse(yMetric, sys.error(s"unknown metric $yMetric"))
     matrices.map(m => (fx(m), fy(m)))
-  }
-
-  /** Sum of C(size, 2) over the gold clusters: sorts a copy of the IDs and
-    * counts runs, so any IDs (sparse, negative) work without a map.
-    */
-  private def goldPairCount(gold: Array[Int]): Long = {
-    val ids = gold.clone()
-    java.util.Arrays.sort(ids)
-    var pairs = 0L
-    var start = 0
-    var j = 1
-    while (j <= ids.length) {
-      if (j == ids.length || ids(j) != ids(start)) {
-        pairs += ConfusionMatrix.pairsOf((j - start).toLong)
-        start = j
-      }
-      j += 1
-    }
-    pairs
   }
 }

@@ -65,9 +65,8 @@ object Table1 {
 
   /** Run one workload; asserts both algorithms produce identical confusion
     * matrices before trusting the timings. Custom runs once untimed, then
-    * its `reps` timed repetitions run back to back, then naive's, so no
-    * custom timing follows a naive run on the same heap; the best of each
-    * is taken (JIT-stable).
+    * its `reps` timed runs and then naive's run back to back; the best of
+    * each is taken, so no custom timing follows a naive run on the same heap.
     */
   def run(w: Workload, reps: Int = 2): Result = {
     val (gold, matches) = build(w)

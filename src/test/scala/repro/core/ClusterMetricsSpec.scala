@@ -1,5 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -89,8 +93,7 @@ class ClusterMetricsSpec extends AnyFunSuite {
     for (exp <- Seq(Array(0, 1, 1), Array(1, 0, 0), Array(5, 7, 7), Array(7, 5, 5)))
       assert(gmd(exp, Array(0, 0, 0)) == 4.0, exp.mkString(","))
     // Fractional costs: equal bit for bit, whatever order clusters are met in.
-    val fsFrac: (Long, Long) => Double = (part, rest) => part.toDouble / (part + rest)
-    val fmFrac: (Long, Long) => Double = (merged, part) => math.sqrt(merged.toDouble) + 1.0 / part
+    import ClusterMetricsSpec.{fmFrac, fsFrac}
     val rnd = new Random(7)
     for (_ <- 1 to 100) {
       val n = 2 + rnd.nextInt(120)
@@ -104,22 +107,71 @@ class ClusterMetricsSpec extends AnyFunSuite {
           assert(ClusterMetrics.generalizedMergeDistance(e, gd, f, g) == want,
             s"exp ${exp.mkString(",")} gold ${gold.mkString(",")}")
       }
+      // The other metrics read the same table, so they do not change either.
+      for ((e, gd) <- Seq((exp.map(label), gold), (exp, gold.map(label)))) {
+        val clue = s"exp ${exp.mkString(",")} gold ${gold.mkString(",")}"
+        assert(ConfusionMatrix.fromClusterings(e, gd) == ConfusionMatrix.fromClusterings(exp, gold), clue)
+        assert(math.abs(ClusterMetrics.variationOfInformation(e, gd) -
+          ClusterMetrics.variationOfInformation(exp, gold)) < 1e-12, clue)
+        assert(math.abs(ClusterMetrics.closestClusterF1(e, gd) -
+          ClusterMetrics.closestClusterF1(exp, gold)) < 1e-12, clue)
+      }
     }
   }
 
+  private val metrics: Seq[(String, (Array[Int], Array[Int]) => Any)] = Seq(
+    ("closestClusterPrecision", ClusterMetrics.closestClusterPrecision(_, _)),
+    ("closestClusterRecall", ClusterMetrics.closestClusterRecall(_, _)),
+    ("closestClusterF1", ClusterMetrics.closestClusterF1(_, _)),
+    ("variationOfInformation", ClusterMetrics.variationOfInformation(_, _)),
+    ("generalizedMergeDistance", ClusterMetrics.generalizedMergeDistance(_, _)),
+    ("fromClusterings", ConfusionMatrix.fromClusterings(_, _)),
+  )
+
   test("GMD rejects mismatched lengths") {
-    val metrics: Seq[(String, (Array[Int], Array[Int]) => Any)] = Seq(
-      ("closestClusterPrecision", ClusterMetrics.closestClusterPrecision(_, _)),
-      ("closestClusterRecall", ClusterMetrics.closestClusterRecall(_, _)),
-      ("closestClusterF1", ClusterMetrics.closestClusterF1(_, _)),
-      ("variationOfInformation", ClusterMetrics.variationOfInformation(_, _)),
-      ("generalizedMergeDistance", ClusterMetrics.generalizedMergeDistance(_, _)),
-      ("fromClusterings", ConfusionMatrix.fromClusterings(_, _)),
-    )
     for ((name, metric) <- metrics) {
       val e = intercept[IllegalArgumentException](metric(Array(0), Array(0, 1)))
       assert(e.getMessage.contains("exp has 1, gold has 2"), s"$name: ${e.getMessage}")
     }
+  }
+
+  test("two empty clusterings give the all-zero matrix and 0.0 for every metric") {
+    for ((name, metric) <- metrics) {
+      val want = if (name == "fromClusterings") ConfusionMatrix(0, 0, 0, 0) else 0.0
+      assert(metric(Array.empty[Int], Array.empty[Int]) == want, name)
+    }
+  }
+
+  test("cluster metrics and fromClusterings equal the map-based reference on any IDs (property)") {
+    val pair = for {
+      n <- Gen.choose(0, 500)
+      exp <- ClusterMetricsSpec.clustering(n, 40)
+      gold <- ClusterMetricsSpec.clustering(n, 40)
+    } yield (exp, gold)
+    import ClusterMetricsSpec.{fmFrac, fsFrac}
+    val prop = Prop.forAllNoShrink(pair) { case (exp, gold) =>
+      def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+      def close(got: Double, want: Double) = math.abs(got - want) < 1e-12
+      val unit: (Long, Long) => Double = (_, _) => 1.0
+      val gmd = Seq((unit, unit), (fmFrac, fsFrac)).forall { case (fm, fs) =>
+        bits(ClusterMetrics.generalizedMergeDistance(exp, gold, fm, fs)) ==
+          bits(ReferenceClusterMetrics.generalizedMergeDistance(exp, gold, fm, fs))
+      }
+      (ConfusionMatrix.fromClusterings(exp, gold) == ReferenceClusterMetrics.fromClusterings(exp, gold)) :|
+        "fromClusterings" &&
+        gmd :| "generalizedMergeDistance" &&
+        close(ClusterMetrics.variationOfInformation(exp, gold),
+          ReferenceClusterMetrics.variationOfInformation(exp, gold)) :| "variationOfInformation" &&
+        close(ClusterMetrics.closestClusterPrecision(exp, gold),
+          ReferenceClusterMetrics.closestClusterPrecision(exp, gold)) :| "closestClusterPrecision" &&
+        close(ClusterMetrics.closestClusterRecall(exp, gold),
+          ReferenceClusterMetrics.closestClusterRecall(exp, gold)) :| "closestClusterRecall" &&
+        close(ClusterMetrics.closestClusterF1(exp, gold),
+          ReferenceClusterMetrics.closestClusterF1(exp, gold)) :| "closestClusterF1"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 
   for (seed <- 1 to 5) {
@@ -134,4 +186,31 @@ class ClusterMetricsSpec extends AnyFunSuite {
       assert(ccf >= 0.0 && ccf <= 1.0)
     }
   }
+}
+
+object ClusterMetricsSpec {
+
+  /** Fractional split and merge costs, under which summation order shows. */
+  val fsFrac: (Long, Long) => Double = (part, rest) => part.toDouble / (part + rest)
+  val fmFrac: (Long, Long) => Double = (merged, part) => math.sqrt(merged.toDouble) + 1.0 / part
+
+  /** A cluster ID: the extremes, -1 and 0, IDs just above `Int.MinValue`,
+    * small ones, and sparse values of either sign.
+    */
+  val label: Gen[Int] = Gen.frequency(
+    2 -> Gen.oneOf(Int.MinValue, -1, 0, Int.MaxValue),
+    1 -> Gen.choose(Int.MinValue, Int.MinValue + 50),
+    2 -> Gen.choose(0, 50),
+    2 -> Gen.choose(Int.MinValue, -1),
+    2 -> Gen.choose(Int.MinValue, Int.MaxValue),
+  )
+
+  /** A clustering of `n` records into at most `maxClusters` IDs drawn from
+    * [[label]].
+    */
+  def clustering(n: Int, maxClusters: Int): Gen[Array[Int]] = for {
+    k <- Gen.choose(1, maxClusters)
+    ids <- Gen.listOfN(k, label)
+    assign <- Gen.listOfN(n, Gen.oneOf(ids))
+  } yield assign.toArray
 }

@@ -1,7 +1,8 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
 
 class ConfusionMatrixSpec extends AnyFunSuite {
 
@@ -69,10 +70,12 @@ class ConfusionMatrixSpec extends AnyFunSuite {
 
   for (seed <- 1 to 6) {
     test(s"fromClusterings consistent with fromPairSets (seed=$seed)") {
-      val rnd = new Random(seed)
+      // IDs from the extremes, -1, 0 and sparse values of either sign.
       val n = 20
-      val exp = Array.fill(n)(rnd.nextInt(6))
-      val gold = Array.fill(n)(rnd.nextInt(6))
+      def clustering(seed: Long) =
+        ClusterMetricsSpec.clustering(n, 6).pureApply(Gen.Parameters.default, Seed(seed))
+      val exp = clustering(seed)
+      val gold = clustering(seed + 100)
       def pairs(c: Array[Int]): Set[(Int, Int)] =
         (for (i <- 0 until n; j <- (i + 1) until n if c(i) == c(j)) yield (i, j)).toSet
       assert(ConfusionMatrix.fromClusterings(exp, gold) ==
