@@ -57,81 +57,155 @@ object MetricDiagram {
   private def sortedDesc(matches: IndexedSeq[ScoredMatch]): IndexedSeq[ScoredMatch] =
     matches.sortBy(-_.score)
 
-  /** Bits per radix digit: four passes over a 64-bit key. On a 4-vCPU
-    * host (JDK 17), over the 1.47M tied matches of the `sweep-tied`
-    * benchmark input, where every digit varies, this sort took 100–102 ms
-    * with 16-bit digits and 115–121 ms with 11-bit ones (six passes over
-    * 2,048 buckets).
+  /** Bits per radix digit: six passes over a 64-bit key, the last over 9
+    * bits. In one JVM on a 4-vCPU host (JDK 17), timing `custom` on the
+    * benchmark's inputs (median of 30 interleaved warm reps), 11-bit and
+    * 16-bit digits (four passes over 65,536 buckets) were even on the 1.47M
+    * tied matches of `sweep-tied` in 4 chunks (76.5 and 76.6 ms), and
+    * 11-bit ones were faster on `diagram-1m`'s 144,349 matches in 3 chunks
+    * (31.2 against 35.7 ms) and on Table 1's inputs of 147 to 5,067
+    * matches in one chunk (0.16–0.75 against 0.95–1.59 ms): every pass
+    * lays out `2^DigitBits` buckets per chunk, which a small input does not
+    * amortise. Sorting sweep-tied's matches in one chunk, 16-bit digits
+    * were faster (100 against 109 ms).
     */
-  private final val DigitBits = 16
+  private final val DigitBits = 11
   private final val Digits = (64 + DigitBits - 1) / DigitBits
+
+  /** The fewest matches worth a chunk of their own: [[sweep]] sorts in
+    * `min(cores, ceil(m / ChunkMatches))` chunks, so under 65,536 matches
+    * in one, on the calling thread.
+    */
+  private final val ChunkMatches = 65536
+
+  /** Runs `body` on each chunk `0 until chunks`, on the common fork-join
+    * pool, or on the calling thread when there is only one chunk.
+    */
+  private def inChunks(chunks: Int)(body: Int => Unit): Unit =
+    if (chunks == 1) body(0)
+    else java.util.stream.IntStream.range(0, chunks).parallel().forEach(t => body(t))
 
   /** The record pairs of `matches` in exactly the order `sortedDesc` gives,
     * as two primitive arrays (`a(j)`, `b(j)`), and their sort keys, the
     * order-preserving bits of `-score` ([[keyScore]] decodes one). Each
-    * match is checked as `validate` checks it against dataset size `n`.
+    * match is checked as `validate` checks it against dataset size `n`,
+    * and an invalid one fails with the same message, naming the first
+    * offending index.
     *
-    * A stable LSD radix sort over 16-bit digits of the order-preserving bits
+    * A stable LSD radix sort over 11-bit digits of the order-preserving bits
     * of `-score`: flipping the sign bit of a non-negative double and all bits
     * of a negative one makes unsigned comparison of the bits agree with
     * `java.lang.Double.compare`, which is what `sortBy` uses (so `+0.0`
-    * sorts before `-0.0`, and ties keep their input order). The boxed
-    * matches are read once: that read checks them, packs their keys and
-    * pairs, and counts every digit's histogram. Digit passes in which all
-    * keys agree are skipped, and input that is already in order is copied
-    * without a pass.
+    * sorts before `-0.0`, and ties keep their input order).
+    *
+    * The input is split into `chunks` contiguous ranges, each handled by one
+    * task of the common fork-join pool (one chunk runs on the calling
+    * thread). Each chunk reads its boxed matches once: that read checks
+    * them, packs their keys and pairs, and counts the chunk's histogram of
+    * every digit. Digit passes in which all keys agree are skipped, and
+    * input that is already in order is copied without a pass. A pass
+    * counts each chunk's histogram of the current array (the read's
+    * histograms serve the first pass, and every pass when there is one
+    * chunk), gives each (bucket, chunk) its start in bucket-major,
+    * chunk-minor order, so that equal digits keep their input order, and
+    * scatters each chunk's range to those starts. The result does not
+    * depend on `chunks`.
     */
-  private[core] def sortedPairs(n: Int, matches: IndexedSeq[ScoredMatch]): (Array[Int], Array[Int], Array[Long]) = {
+  private[core] def sortedPairs(
+      n: Int,
+      matches: IndexedSeq[ScoredMatch],
+      chunks: Int,
+  ): (Array[Int], Array[Int], Array[Long]) = {
+    require(chunks >= 1, s"need at least one chunk, got $chunks")
     val m = matches.length
+    val lo = Array.tabulate(chunks + 1)(t => (t.toLong * m / chunks).toInt)
     var keys = new Array[Long](m)
     var pairs = new Array[Long](m)
     val radix = 1 << DigitBits
     val mask = radix - 1L
-    val counts = new Array[Int](Digits << DigitBits)
-    var inOrder = true
-    var j = 0
-    while (j < m) {
-      val x = matches(j)
-      checkMatch(n, j, x)
-      val bits = java.lang.Double.doubleToRawLongBits(-x.score)
-      val key = bits ^ ((bits >> 63) | Long.MinValue)
-      keys(j) = key
-      pairs(j) = (x.a.toLong << 32) | (x.b & 0xFFFFFFFFL)
-      if (j > 0 && java.lang.Long.compareUnsigned(keys(j - 1), key) > 0) inOrder = false
-      var d = 0
-      while (d < Digits) { counts((d << DigitBits) + ((key >>> (d * DigitBits)) & mask).toInt) += 1; d += 1 }
-      j += 1
+    val counts = Array.fill(chunks)(new Array[Int](Digits << DigitBits))
+    val inOrder = new Array[Boolean](chunks)
+    val invalid = new Array[IllegalArgumentException](chunks)
+    val read = keys; val readPairs = pairs
+    inChunks(chunks) { t =>
+      val count = counts(t)
+      val start = lo(t)
+      val end = lo(t + 1)
+      var ordered = true
+      var j = start
+      try {
+        while (j < end) {
+          val x = matches(j)
+          checkMatch(n, j, x)
+          val bits = java.lang.Double.doubleToRawLongBits(-x.score)
+          val key = bits ^ ((bits >> 63) | Long.MinValue)
+          read(j) = key
+          readPairs(j) = (x.a.toLong << 32) | (x.b & 0xFFFFFFFFL)
+          if (j > start && java.lang.Long.compareUnsigned(read(j - 1), key) > 0) ordered = false
+          var d = 0
+          while (d < Digits) { count((d << DigitBits) + ((key >>> (d * DigitBits)) & mask).toInt) += 1; d += 1 }
+          j += 1
+        }
+        inOrder(t) = ordered
+      } catch { case e: IllegalArgumentException => invalid(t) = e }
     }
-    if (!inOrder) {
+    invalid.find(_ != null).foreach(e => throw e)
+    val alreadySorted = inOrder.forall(identity) && (1 until chunks).forall { t =>
+      lo(t) == 0 || lo(t) == m || java.lang.Long.compareUnsigned(read(lo(t) - 1), read(lo(t))) <= 0
+    }
+    if (!alreadySorted) {
       var keysTmp = new Array[Long](m)
       var pairsTmp = new Array[Long](m)
+      var recount = false
       var d = 0
       while (d < Digits) {
         val shift = d * DigitBits
         val base = d << DigitBits
-        if (counts(base + ((keys(0) >>> shift) & mask).toInt) != m) {
+        val first = base + ((keys(0) >>> shift) & mask).toInt
+        if (counts.map(_(first)).sum != m) {
+          val from = keys; val fromPairs = pairs; val to = keysTmp; val toPairs = pairsTmp
+          if (recount) inChunks(chunks) { t =>
+            val count = counts(t)
+            java.util.Arrays.fill(count, base, base + radix, 0)
+            val end = lo(t + 1)
+            var j = lo(t)
+            while (j < end) { count(base + ((from(j) >>> shift) & mask).toInt) += 1; j += 1 }
+          }
+          recount = chunks > 1
           var sum = 0
           var bucket = base
-          while (bucket < base + radix) { val c = counts(bucket); counts(bucket) = sum; sum += c; bucket += 1 }
-          j = 0
-          while (j < m) {
-            val slot = base + ((keys(j) >>> shift) & mask).toInt
-            val pos = counts(slot)
-            keysTmp(pos) = keys(j)
-            pairsTmp(pos) = pairs(j)
-            counts(slot) = pos + 1
-            j += 1
+          while (bucket < base + radix) {
+            var t = 0
+            while (t < chunks) { val c = counts(t)(bucket); counts(t)(bucket) = sum; sum += c; t += 1 }
+            bucket += 1
           }
-          val k = keys; keys = keysTmp; keysTmp = k
-          val p = pairs; pairs = pairsTmp; pairsTmp = p
+          inChunks(chunks) { t =>
+            val start = counts(t)
+            val end = lo(t + 1)
+            var j = lo(t)
+            while (j < end) {
+              val slot = base + ((from(j) >>> shift) & mask).toInt
+              val pos = start(slot)
+              to(pos) = from(j)
+              toPairs(pos) = fromPairs(j)
+              start(slot) = pos + 1
+              j += 1
+            }
+          }
+          keys = to; keysTmp = from
+          pairs = toPairs; pairsTmp = fromPairs
         }
         d += 1
       }
     }
     val a = new Array[Int](m)
     val b = new Array[Int](m)
-    j = 0
-    while (j < m) { a(j) = (pairs(j) >>> 32).toInt; b(j) = pairs(j).toInt; j += 1 }
+    val out = pairs
+    inChunks(chunks) { t =>
+      val end = lo(t + 1)
+      var j = lo(t)
+      while (j < end) { a(j) = (out(j) >>> 32).toInt; b(j) = out(j).toInt; j += 1 }
+    }
     (a, b, keys)
   }
 
@@ -168,7 +242,9 @@ object MetricDiagram {
       s: Int,
   ): (IndexedSeq[ConfusionMatrix], Array[Double]) = {
     checkGold(n, gold)
-    val (a, b, keys) = sortedPairs(n, matches)
+    val cores = Runtime.getRuntime.availableProcessors
+    val chunks = math.max(1, math.min(cores, ((matches.length + ChunkMatches - 1L) / ChunkMatches).toInt))
+    val (a, b, keys) = sortedPairs(n, matches, chunks)
     val bounds = boundaries(a.length, s)
     val thresholds = bounds.map(k => if (k == 0) Double.PositiveInfinity else keyScore(keys(k - 1)))
     val exp = new UnionFind(n)

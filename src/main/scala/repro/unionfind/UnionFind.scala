@@ -77,17 +77,35 @@ final class UnionFind(val n: Int) {
     * that absorbed at least one other pre-batch cluster, listing every
     * pre-batch representative now contained in it. A root is only ever
     * replaced by the root it is unioned into, so every root seen during the
-    * batch is a pre-batch root.
+    * batch is a pre-batch root. The entries come in ascending `target`
+    * order, each with its `sources` ascending: one sort of the merged roots,
+    * each packed with its post-batch root into a `Long`, groups them.
     */
   def trackedUnion(batch: IterableOnce[(Int, Int)]): Vector[Merge] = {
-    val merged = mutable.ArrayBuffer.empty[Int]
+    val merged = new mutable.ArrayBuilder.ofInt
     val it = batch.iterator
     while (it.hasNext) {
       val (a, b) = it.next()
       val ra = find(a); val rb = find(b)
       if (ra != rb) { merged += ra; merged += rb; union(ra, rb) }
     }
-    merged.distinct.groupBy(find).iterator.map { case (t, srcs) => Merge(t, srcs.toVector) }.toVector
+    val roots = merged.result()
+    val packed = new Array[Long](roots.length)
+    var i = 0
+    while (i < roots.length) { packed(i) = (find(roots(i)).toLong << 32) | roots(i); i += 1 }
+    java.util.Arrays.sort(packed)
+    val out = Vector.newBuilder[Merge]
+    i = 0
+    while (i < packed.length) {
+      val target = (packed(i) >>> 32).toInt
+      val sources = Vector.newBuilder[Int]
+      while (i < packed.length && (packed(i) >>> 32).toInt == target) {
+        if (i == 0 || packed(i) != packed(i - 1)) sources += packed(i).toInt
+        i += 1
+      }
+      out += Merge(target, sources.result())
+    }
+    out.result()
   }
 
   /** Cluster assignment snapshot: record index -> representative. */

@@ -186,17 +186,14 @@ class MetricDiagramSpec extends AnyFunSuite {
     }
   }
 
-  /** `sortedPairs` gives `sortBy(-score)`'s order, custom equals naive at
-    * every sample point, and each point's threshold is, bit for bit, the
-    * score of the last match it admits.
+  /** `sortedPairs` gives `sortBy(-score)`'s order and the same keys under
+    * every chunk count, custom equals naive at every sample point, and each
+    * point's threshold is, bit for bit, the score of the last match it
+    * admits.
     */
   private def checkSweep(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): Unit = {
+    checkOrder(n, matches)
     val sorted = matches.sortBy(-_.score)
-    val (a, b, _) = MetricDiagram.sortedPairs(n, matches)
-    val order = a.toSeq.zip(b)
-    assert(order.length == sorted.length)
-    val firstOff = order.indices.indexWhere(j => order(j) != ((sorted(j).a, sorted(j).b)))
-    if (firstOff >= 0) fail(s"sortedPairs differs from sortBy first at match $firstOff: ${order(firstOff)} vs ${sorted(firstOff)}")
     val (custom, thresholds) = MetricDiagram.sweep(n, gold, matches, s)
     assertSame("custom", custom, "naive", MetricDiagram.naive(n, gold, matches, s))
     val lowest = MetricDiagram.boundaries(matches.length, s).map { k =>
@@ -204,6 +201,82 @@ class MetricDiagramSpec extends AnyFunSuite {
     }
     assert(thresholds.map(java.lang.Double.doubleToRawLongBits).toSeq ==
       lowest.map(java.lang.Double.doubleToRawLongBits).toSeq)
+  }
+
+  private val chunkCounts = Seq(1, 2, 3, 4, 7)
+
+  /** For each chunk count, `sortedPairs` gives exactly `sortBy(-score)`'s
+    * pairs and exactly the one-chunk sort's keys.
+    */
+  private def checkOrder(n: Int, matches: IndexedSeq[ScoredMatch]): Unit = {
+    val sorted = matches.sortBy(-_.score)
+    val (_, _, oneChunkKeys) = MetricDiagram.sortedPairs(n, matches, 1)
+    for (chunks <- chunkCounts) {
+      val (a, b, keys) = MetricDiagram.sortedPairs(n, matches, chunks)
+      val order = a.toSeq.zip(b)
+      assert(order.length == sorted.length)
+      val firstOff = order.indices.indexWhere(j => order(j) != ((sorted(j).a, sorted(j).b)))
+      if (firstOff >= 0)
+        fail(s"sortedPairs in $chunks chunks differs from sortBy first at match $firstOff: ${order(firstOff)} vs ${sorted(firstOff)}")
+      val keyOff = keys.indices.indexWhere(j => keys(j) != oneChunkKeys(j))
+      if (keyOff >= 0)
+        fail(s"sortedPairs in $chunks chunks differs from one chunk first at key $keyOff: ${keys(keyOff)} vs ${oneChunkKeys(keyOff)}")
+    }
+  }
+
+  test("sortedPairs gives one order for every chunk count on 0, 1 and fewer matches than chunks") {
+    val rnd = new Random(3)
+    for (m <- 0 to 6) {
+      val matches = IndexedSeq.fill(m)(ScoredMatch(rnd.nextInt(5), 5 + rnd.nextInt(5), rnd.nextInt(3) / 2.0))
+      checkOrder(10, matches)
+    }
+  }
+
+  // Each chunk's range in order, so every chunk's read finds it sorted: the
+  // already-in-order shortcut must sort anyway when the ranges are out of
+  // order against each other, and keep the input when they are not.
+  for (seed <- 1 to 6) {
+    test(s"sortedPairs sorts input that is in order within each chunk but not across chunks (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 40
+      val m = rnd.nextInt(200)
+      val scores = IndexedSeq.fill(m)(rnd.nextInt(8) / 4.0 - 0.5)
+      def pairs(sc: IndexedSeq[Double]): IndexedSeq[ScoredMatch] = sc.map { x =>
+        val a = rnd.nextInt(n)
+        ScoredMatch(a, (a + 1 + rnd.nextInt(n - 1)) % n, x)
+      }
+      val ascending = scores.sorted
+      for (chunks <- chunkCounts) {
+        val lo = (0 to chunks).map(t => (t.toLong * m / chunks).toInt)
+        val descendingPerChunk = lo.sliding(2).flatMap(r => ascending.slice(r(0), r(1)).reverse).toIndexedSeq
+        Seq(descendingPerChunk, ascending.reverse).foreach { sc =>
+          val matches = pairs(sc)
+          val sorted = matches.sortBy(-_.score)
+          val (a, b, _) = MetricDiagram.sortedPairs(n, matches, chunks)
+          assert(a.toSeq.zip(b) == sorted.map(x => (x.a, x.b)), s"$chunks chunks")
+        }
+      }
+    }
+  }
+
+  // Two invalid matches in different chunks: the error names the lower
+  // index, word for word as naive's sequential check does, whichever chunk
+  // fails first.
+  test("sortedPairs names the first offending match across chunks") {
+    val n = 10
+    val invalid = Seq(ScoredMatch(3, 4, Double.NaN), ScoredMatch(3, n, 0.5), ScoredMatch(-1, 3, 0.5), ScoredMatch(6, 6, 0.5))
+    val m = 28
+    for (first <- invalid; second <- invalid; at <- Seq(m / 2, m - 1)) {
+      val matches = IndexedSeq.tabulate(m) { j =>
+        if (j == 1) first else if (j == at) second else ScoredMatch(j % n, (j + 1) % n, j / 7.0)
+      }
+      val expected = intercept[IllegalArgumentException](MetricDiagram.naive(n, Array.fill(n)(0), matches, 2)).getMessage
+      assert(expected.startsWith("match 1 "))
+      for (chunks <- chunkCounts) {
+        val e = intercept[IllegalArgumentException](MetricDiagram.sortedPairs(n, matches, chunks))
+        assert(e.getMessage == expected, s"$chunks chunks")
+      }
+    }
   }
 
   // Aim-3 inputs at a size where clusters merge unevenly and the

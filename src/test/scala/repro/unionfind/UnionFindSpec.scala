@@ -112,6 +112,34 @@ class UnionFindSpec extends AnyFunSuite {
     assert(merges.head.sources.toSet == Set(r01, 2))
   }
 
+  // The grouping trackedUnion used before it sorted packed roots: the
+  // distinct merged pre-batch roots grouped by post-batch root in a HashMap.
+  private def referenceTrackedUnion(uf: UnionFind, batch: Seq[(Int, Int)]): Set[(Int, Set[Int])] = {
+    val merged = scala.collection.mutable.ArrayBuffer.empty[Int]
+    batch.foreach { case (a, b) =>
+      val ra = uf.find(a); val rb = uf.find(b)
+      if (ra != rb) { merged += ra; merged += rb; uf.union(ra, rb) }
+    }
+    merged.distinct.groupBy(uf.find).map { case (t, srcs) => (t, srcs.toSet) }.toSet
+  }
+
+  for (seed <- 1 to 8) {
+    test(s"trackedUnion reports the reference grouping, targets and sources ascending (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 20 + rnd.nextInt(200)
+      val uf = new UnionFind(n)
+      val reference = new UnionFind(n)
+      (1 to 30).foreach { _ =>
+        val batch = Seq.fill(rnd.nextInt(2 + n / 4))((rnd.nextInt(n), rnd.nextInt(n)))
+        val merges = uf.trackedUnion(batch)
+        assert(merges.map(m => (m.target, m.sources.toSet)).toSet == referenceTrackedUnion(reference, batch))
+        assert(merges.map(_.target) == merges.map(_.target).sorted.distinct)
+        merges.foreach(m => assert(m.sources == m.sources.sorted.distinct))
+        assert(uf.toClustering.sameElements(reference.toClustering))
+      }
+    }
+  }
+
   // MetricDiagram's pass unions one pair at a time and folds the absorbed
   // cluster into the survivor: a trackedUnion batch of one.
   for (seed <- 1 to 5) {
