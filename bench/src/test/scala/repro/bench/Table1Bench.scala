@@ -21,13 +21,14 @@ import repro.tables.Table1
   * on the larger ones, and stays interactive at 1M records.
   *
   * The print test also writes `BENCH_table1.json` at the repository root:
-  * each workload's custom and naive time and speedup, under a one-line
+  * each workload's best custom and naive time and their speedup, and the
+  * median and quartiles of each algorithm's reps, under a one-line
   * environment banner (cores, max heap, JVM, git revision), so runs on
   * two commits can be compared.
   */
 class Table1Bench extends AnyFunSuite {
 
-  private val reps = 2
+  private val reps = 7
   private lazy val results = Table1.runAll(reps)
 
   /** The checkout's root: the nearest directory up from the working
@@ -49,16 +50,21 @@ class Table1Bench extends AnyFunSuite {
 
   private def num(x: Double): String = "%.2f".formatLocal(Locale.ROOT, x)
 
+  /** A timing's median and quartiles as JSON fields named `<name>_p25_ms` etc. */
+  private def spread(name: String, t: Table1.Timing): String =
+    Seq(25, 50, 75).map(p => s""""${name}_p${p}_ms": ${num(t.quantile(p / 100.0))}""").mkString(", ")
+
   private def writeJson(): File = {
     val rows = results.map { r =>
       s"""    {"dataset": ${json(r.dataset)}, "records": ${r.records}, "matches": ${r.matchedPairs}, """ +
-        s""""custom_ms": ${num(r.customMs)}, "naive_ms": ${num(r.naiveMs)}, "speedup": ${num(r.speedup)}}"""
+        s""""custom_ms": ${num(r.customMs)}, "naive_ms": ${num(r.naiveMs)}, "speedup": ${num(r.speedup)}, """ +
+        s"""${spread("custom", r.custom)}, ${spread("naive", r.naive)}}"""
     }
     val text =
       s"""{
          |  "environment": ${json(banner)},
          |  "sample_points": ${Table1.samplePoints},
-         |  "timing": ${json(s"best of $reps reps after a warm-up run, ms")},
+         |  "timing": ${json(s"best (custom_ms, naive_ms, speedup), median and quartiles of $reps reps after a warm-up run, ms")},
          |  "workloads": [
          |${rows.mkString(",\n")}
          |  ]

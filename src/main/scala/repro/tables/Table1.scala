@@ -39,13 +39,33 @@ object Table1 {
     */
   val samplePoints = 100
 
+  /** One algorithm's timed reps on one workload, in ms. */
+  final case class Timing(ms: IndexedSeq[Double]) {
+    require(ms.nonEmpty, "a timing needs at least one rep")
+    private val sorted = ms.sorted
+
+    def best: Double = sorted.head
+
+    /** The `q`-quantile of the reps, interpolated linearly between ranks. */
+    def quantile(q: Double): Double = {
+      val x = q * (sorted.length - 1)
+      val i = x.toInt
+      if (i + 1 < sorted.length) sorted(i) + (x - i) * (sorted(i + 1) - sorted(i)) else sorted(i)
+    }
+  }
+
+  /** A workload's custom and naive timings. The gates read the best rep of
+    * each; the median and quartiles show how far one rep can move.
+    */
   final case class Result(
       dataset: String,
       records: Int,
       matchedPairs: Int,
-      customMs: Double,
-      naiveMs: Double,
+      custom: Timing,
+      naive: Timing,
   ) {
+    def customMs: Double = custom.best
+    def naiveMs: Double = naive.best
     def speedup: Double = naiveMs / customMs
   }
 
@@ -65,20 +85,23 @@ object Table1 {
 
   /** Run one workload; asserts both algorithms produce identical confusion
     * matrices before trusting the timings. Custom runs once untimed, then
-    * its `reps` timed runs and then naive's run back to back; the best of
-    * each is taken, so no custom timing follows a naive run on the same heap.
+    * its `reps` timed runs and then naive's run back to back, so no custom
+    * timing follows a naive run on the same heap.
     */
   def run(w: Workload, reps: Int = 2): Result = {
     val (gold, matches) = build(w)
-    def best(f: => IndexedSeq[ConfusionMatrix]) = (1 to reps).map(_ => timeMs(f)).minBy(_._2)
+    def timed(f: => IndexedSeq[ConfusionMatrix]) = {
+      val runs = (1 to reps).map(_ => timeMs(f))
+      (runs.head._1, Timing(runs.map(_._2)))
+    }
     MetricDiagram.custom(w.records, gold, matches, samplePoints)
-    val (customOut, customBest) = best(MetricDiagram.custom(w.records, gold, matches, samplePoints))
-    val (naiveOut, naiveBest) = best(MetricDiagram.naive(w.records, gold, matches, samplePoints))
+    val (customOut, customTiming) = timed(MetricDiagram.custom(w.records, gold, matches, samplePoints))
+    val (naiveOut, naiveTiming) = timed(MetricDiagram.naive(w.records, gold, matches, samplePoints))
     require(customOut == naiveOut, {
       val i = customOut.indices.find(i => customOut(i) != naiveOut.lift(i).orNull).getOrElse(customOut.length)
       s"${w.dataset}: custom and naive disagree first at sample point $i — custom ${customOut.lift(i)}, naive ${naiveOut.lift(i)}"
     })
-    Result(w.dataset, w.records, w.matchedPairs, customBest, naiveBest)
+    Result(w.dataset, w.records, w.matchedPairs, customTiming, naiveTiming)
   }
 
   /** Run all workloads after one untimed pass over all of them: a warm-up
@@ -91,9 +114,11 @@ object Table1 {
   }
 
   def format(results: Seq[Result]): String = {
-    val header = f"${"Dataset"}%-16s ${"Records"}%10s ${"Matches"}%10s ${"Custom"}%12s ${"Naive"}%12s ${"Speedup"}%8s"
+    val header = f"${"Dataset"}%-16s ${"Records"}%10s ${"Matches"}%10s ${"Custom"}%12s ${"Naive"}%12s ${"Speedup"}%8s" +
+      f" ${"Custom p50"}%12s ${"Naive p50"}%12s"
     val rows = results.map { r =>
-      f"${r.dataset}%-16s ${r.records}%10d ${r.matchedPairs}%10d ${r.customMs}%10.1fms ${r.naiveMs}%10.1fms ${r.speedup}%7.1fx"
+      f"${r.dataset}%-16s ${r.records}%10d ${r.matchedPairs}%10d ${r.customMs}%10.1fms ${r.naiveMs}%10.1fms ${r.speedup}%7.1fx" +
+        f" ${r.custom.quantile(0.5)}%10.1fms ${r.naive.quantile(0.5)}%10.1fms"
     }
     (header +: rows).mkString("\n")
   }

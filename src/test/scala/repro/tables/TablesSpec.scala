@@ -44,10 +44,18 @@ class TablesSpec extends SparkSpec {
   }
 
   test("Table1.format renders one row per result") {
-    val rows = Seq(Table1.Result("d", 10, 5, 1.0, 10.0))
+    val rows = Seq(Table1.Result("d", 10, 5, Table1.Timing(IndexedSeq(1.0)), Table1.Timing(IndexedSeq(10.0))))
     val out = Table1.format(rows)
     assert(out.linesIterator.size == 2)
     assert(out.contains("10.0x") || out.contains("10,0x"))
+  }
+
+  test("Table1.Timing gives the best rep and quartiles interpolated between ranks") {
+    val t = Table1.Timing(IndexedSeq(5.0, 1.0, 4.0, 2.0, 3.0))
+    assert(t.best == 1.0)
+    assert(Seq(0.0, 0.25, 0.5, 0.75, 1.0).map(t.quantile) == Seq(1.0, 2.0, 3.0, 4.0, 5.0))
+    assert(Table1.Timing(IndexedSeq(2.0, 4.0)).quantile(0.25) == 2.5)
+    assert(Table1.Timing(IndexedSeq(7.0)).quantile(0.75) == 7.0)
   }
 
   test("Table2 paper rows pin the published profile") {
