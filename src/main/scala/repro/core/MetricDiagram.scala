@@ -57,183 +57,289 @@ object MetricDiagram {
   private def sortedDesc(matches: IndexedSeq[ScoredMatch]): IndexedSeq[ScoredMatch] =
     matches.sortBy(-_.score)
 
-  /** Bits per radix digit: six passes over a 64-bit key, the last over 9
-    * bits. In one JVM on a 4-vCPU host (JDK 17), timing `custom` on the
-    * benchmark's inputs (median of 30 interleaved warm reps), 11-bit and
-    * 16-bit digits (four passes over 65,536 buckets) were even on the 1.47M
-    * tied matches of `sweep-tied` in 4 chunks (76.5 and 76.6 ms), and
-    * 11-bit ones were faster on `diagram-1m`'s 144,349 matches in 3 chunks
-    * (31.2 against 35.7 ms) and on Table 1's inputs of 147 to 5,067
-    * matches in one chunk (0.16–0.75 against 0.95–1.59 ms): every pass
-    * lays out `2^DigitBits` buckets per chunk, which a small input does not
-    * amortise. Sorting sweep-tied's matches in one chunk, 16-bit digits
-    * were faster (100 against 109 ms).
+  /** The most bits per radix digit of [[segments]]: 2,048 buckets per
+    * chunk. In one JVM on a 4-vCPU host (JDK 17), 16-bit digits were slower
+    * than 11-bit ones on the benchmark's 1.47M tied matches of `sweep-tied`
+    * and 144,349 matches of `diagram-1m`: scattering to 65,536 buckets from
+    * two arrays does not fit the cache.
     */
-  private final val DigitBits = 11
-  private final val Digits = (64 + DigitBits - 1) / DigitBits
+  private final val MaxDigitBits = 11
 
-  /** The fewest matches worth a chunk of their own: [[sweep]] sorts in
-    * `min(cores, ceil(m / ChunkMatches))` chunks, so under 65,536 matches
-    * in one, on the calling thread.
+  /** Bits of a digit over `size` keys: about one bucket per key, so that a
+    * small range does not lay out more buckets than it has keys.
+    */
+  private def digitBits(size: Int): Int =
+    math.min(MaxDigitBits, 32 - Integer.numberOfLeadingZeros(size))
+
+  /** The most matches in a bucket that [[Partition.split]] sorts by
+    * insertion rather than splits again: below this, allocating and laying
+    * out another level of buckets costs more than the sort.
+    */
+  private final val SortRange = 32
+
+  /** The fewest matches worth a chunk of their own: [[sweep]] reads and
+    * scatters a range of `m` matches in `min(cores, ceil(m / ChunkMatches))`
+    * chunks, so under 65,536 matches in one, on the calling thread.
     */
   private final val ChunkMatches = 65536
 
-  /** Runs `body` on each chunk `0 until chunks`, on the common fork-join
-    * pool, or on the calling thread when there is only one chunk.
-    */
-  private def inChunks(chunks: Int)(body: Int => Unit): Unit =
-    if (chunks == 1) body(0)
-    else java.util.stream.IntStream.range(0, chunks).parallel().forEach(t => body(t))
+  private def coreChunks(m: Int): Int = {
+    val cores = Runtime.getRuntime.availableProcessors
+    math.max(1, math.min(cores, ((m + ChunkMatches - 1L) / ChunkMatches).toInt))
+  }
 
-  /** The record pairs of `matches` in exactly the order `sortedDesc` gives,
-    * as two primitive arrays (`a(j)`, `b(j)`), and their sort keys, the
-    * order-preserving bits of `-score` ([[keyScore]] decodes one). Each
-    * match is checked as `validate` checks it against dataset size `n`,
-    * and an invalid one fails with the same message, naming the first
-    * offending index.
-    *
-    * A stable LSD radix sort over 11-bit digits of the order-preserving bits
-    * of `-score`: flipping the sign bit of a non-negative double and all bits
-    * of a negative one makes unsigned comparison of the bits agree with
-    * `java.lang.Double.compare`, which is what `sortBy` uses (so `+0.0`
-    * sorts before `-0.0`, and ties keep their input order).
-    *
-    * The input is split into `chunks` contiguous ranges, each handled by one
-    * task of the common fork-join pool (one chunk runs on the calling
-    * thread). Each chunk reads its boxed matches once: that read checks
-    * them, packs their keys and pairs, and counts the chunk's histogram of
-    * every digit. Digit passes in which all keys agree are skipped, and
-    * input that is already in order is copied without a pass. A pass
-    * counts each chunk's histogram of the current array (the read's
-    * histograms serve the first pass, and every pass when there is one
-    * chunk), gives each (bucket, chunk) its start in bucket-major,
-    * chunk-minor order, so that equal digits keep their input order, and
-    * scatters each chunk's range to those starts. The result does not
-    * depend on `chunks`.
+  /** Runs `body` on each task `0 until tasks`: on the common fork-join pool
+    * if `parallel`, else (and for a single task) on the calling thread.
     */
-  private[core] def sortedPairs(
+  private def inTasks(tasks: Int, parallel: Boolean)(body: Int => Unit): Unit =
+    if (parallel && tasks > 1) java.util.stream.IntStream.range(0, tasks).parallel().forEach(t => body(t))
+    else { var t = 0; while (t < tasks) { body(t); t += 1 } }
+
+  /** The start of each of `chunks` contiguous ranges of `[from, until)`, and
+    * `until` last.
+    */
+  private def chunkStarts(from: Int, until: Int, chunks: Int): Array[Int] =
+    Array.tabulate(chunks + 1)(t => from + (t.toLong * (until - from) / chunks).toInt)
+
+  /** The sort key of `score`: the bits of `-score` with every bit but the
+    * sign flipped when the sign is set, so that comparing keys as signed
+    * `Long`s agrees with `java.lang.Double.compare` on `-score`. That is the
+    * order `sortBy(-_.score)` uses: `+0.0` comes before `-0.0`.
+    */
+  private def scoreKey(score: Double): Long = {
+    val bits = java.lang.Double.doubleToRawLongBits(-score)
+    bits ^ ((bits >> 63) & Long.MaxValue)
+  }
+
+  /** The score whose key [[scoreKey]] made `key`, bit for bit. */
+  private[core] def keyScore(key: Long): Double =
+    -java.lang.Double.longBitsToDouble(key ^ ((key >> 63) & Long.MaxValue))
+
+  /** The matches of `matches` cut into the `s - 1` segments of
+    * [[boundaries]]: segment `i` (positions `[bounds(i - 1), bounds(i))`)
+    * holds exactly the matches that `sortBy(-_.score)` puts there, in some
+    * order, as record pairs packed `a << 32 | b` with their [[scoreKey]]s.
+    * Returns the pairs, the keys and the bounds. Each match is checked as
+    * `validate` checks it against dataset size `n`, and an invalid one
+    * fails with the same message, naming the first offending index, before
+    * `s` is checked, as in `naive`.
+    *
+    * `chunksOf(size)` gives the number of contiguous chunks a range of
+    * `size` matches is read and scattered in, each by one task of the common
+    * fork-join pool (one chunk runs on the calling thread). The chunks'
+    * reads check the matches, pack their pairs and keys, and track each
+    * chunk's smallest and largest key. Then [[Partition.split]] refines the
+    * key span that is in use, by a stable MSD radix partition, only where a
+    * cut falls inside a bucket. The segments do not depend on the chunks.
+    */
+  private[core] def segments(
       n: Int,
       matches: IndexedSeq[ScoredMatch],
-      chunks: Int,
-  ): (Array[Int], Array[Int], Array[Long]) = {
-    require(chunks >= 1, s"need at least one chunk, got $chunks")
+      s: Int,
+      chunksOf: Int => Int,
+  ): (Array[Long], Array[Long], Array[Int]) = {
     val m = matches.length
-    val lo = Array.tabulate(chunks + 1)(t => (t.toLong * m / chunks).toInt)
-    var keys = new Array[Long](m)
-    var pairs = new Array[Long](m)
-    val radix = 1 << DigitBits
-    val mask = radix - 1L
-    val counts = Array.fill(chunks)(new Array[Int](Digits << DigitBits))
-    val inOrder = new Array[Boolean](chunks)
+    val chunks = chunksOf(m)
+    require(chunks >= 1, s"need at least one chunk, got $chunks")
+    val lo = chunkStarts(0, m, chunks)
+    val keys = new Array[Long](m)
+    val pairs = new Array[Long](m)
+    val mins = Array.fill(chunks)(Long.MaxValue)
+    val maxs = Array.fill(chunks)(Long.MinValue)
     val invalid = new Array[IllegalArgumentException](chunks)
-    val read = keys; val readPairs = pairs
-    inChunks(chunks) { t =>
-      val count = counts(t)
-      val start = lo(t)
-      val end = lo(t + 1)
-      var ordered = true
-      var j = start
+    inTasks(chunks, parallel = true) { t =>
+      var min = Long.MaxValue
+      var max = Long.MinValue
+      var j = lo(t)
       try {
-        while (j < end) {
+        while (j < lo(t + 1)) {
           val x = matches(j)
           checkMatch(n, j, x)
-          val bits = java.lang.Double.doubleToRawLongBits(-x.score)
-          val key = bits ^ ((bits >> 63) | Long.MinValue)
-          read(j) = key
-          readPairs(j) = (x.a.toLong << 32) | (x.b & 0xFFFFFFFFL)
-          if (j > start && java.lang.Long.compareUnsigned(read(j - 1), key) > 0) ordered = false
-          var d = 0
-          while (d < Digits) { count((d << DigitBits) + ((key >>> (d * DigitBits)) & mask).toInt) += 1; d += 1 }
+          val key = scoreKey(x.score)
+          keys(j) = key
+          pairs(j) = (x.a.toLong << 32) | (x.b & 0xFFFFFFFFL)
+          if (key < min) min = key
+          if (key > max) max = key
           j += 1
         }
-        inOrder(t) = ordered
+        mins(t) = min; maxs(t) = max
       } catch { case e: IllegalArgumentException => invalid(t) = e }
     }
     invalid.find(_ != null).foreach(e => throw e)
-    val alreadySorted = inOrder.forall(identity) && (1 until chunks).forall { t =>
-      lo(t) == 0 || lo(t) == m || java.lang.Long.compareUnsigned(read(lo(t) - 1), read(lo(t))) <= 0
+    val bounds = boundaries(m, s)
+    val (min, max) = (mins.min, maxs.max)
+    if (min == max || !cutInside(bounds, 0, m)) (pairs, keys, bounds)
+    else {
+      val part = new Partition(bounds, chunksOf, keys, pairs)
+      part.split(0, m, min, max, fromRead = true)
+      (part.pairs, part.keys, bounds)
     }
-    if (!alreadySorted) {
-      var keysTmp = new Array[Long](m)
-      var pairsTmp = new Array[Long](m)
-      var recount = false
-      var d = 0
-      while (d < Digits) {
-        val shift = d * DigitBits
-        val base = d << DigitBits
-        val first = base + ((keys(0) >>> shift) & mask).toInt
-        if (counts.map(_(first)).sum != m) {
-          val from = keys; val fromPairs = pairs; val to = keysTmp; val toPairs = pairsTmp
-          if (recount) inChunks(chunks) { t =>
-            val count = counts(t)
-            java.util.Arrays.fill(count, base, base + radix, 0)
-            val end = lo(t + 1)
-            var j = lo(t)
-            while (j < end) { count(base + ((from(j) >>> shift) & mask).toInt) += 1; j += 1 }
-          }
-          recount = chunks > 1
-          var sum = 0
-          var bucket = base
-          while (bucket < base + radix) {
-            var t = 0
-            while (t < chunks) { val c = counts(t)(bucket); counts(t)(bucket) = sum; sum += c; t += 1 }
-            bucket += 1
-          }
-          inChunks(chunks) { t =>
-            val start = counts(t)
-            val end = lo(t + 1)
-            var j = lo(t)
-            while (j < end) {
-              val slot = base + ((from(j) >>> shift) & mask).toInt
-              val pos = start(slot)
-              to(pos) = from(j)
-              toPairs(pos) = fromPairs(j)
-              start(slot) = pos + 1
-              j += 1
-            }
-          }
-          keys = to; keysTmp = from
-          pairs = toPairs; pairsTmp = fromPairs
-        }
-        d += 1
-      }
-    }
-    val a = new Array[Int](m)
-    val b = new Array[Int](m)
-    val out = pairs
-    inChunks(chunks) { t =>
-      val end = lo(t + 1)
-      var j = lo(t)
-      while (j < end) { a(j) = (out(j) >>> 32).toInt; b(j) = out(j).toInt; j += 1 }
-    }
-    (a, b, keys)
   }
 
-  /** The score whose sort key `sortedPairs` made `key`, bit for bit. */
-  private def keyScore(key: Long): Double =
-    -java.lang.Double.longBitsToDouble(if (key < 0) key ^ Long.MinValue else ~key)
+  /** The index of the first cut of `bounds` above `pos`. */
+  private def firstCutAbove(bounds: Array[Int], pos: Int): Int = {
+    var lo = 0
+    var hi = bounds.length
+    while (lo < hi) { val mid = (lo + hi) >>> 1; if (bounds(mid) <= pos) lo = mid + 1 else hi = mid }
+    lo
+  }
+
+  /** Whether a cut of `bounds` falls strictly inside `[from, until)`. */
+  private def cutInside(bounds: Array[Int], from: Int, until: Int): Boolean = {
+    val c = firstCutAbove(bounds, from)
+    c < bounds.length && bounds(c) < until
+  }
+
+  /** The stable MSD radix partition behind [[segments]]. The read left the
+    * matches in `readKeys`/`readPairs`; the partition leaves them in `keys`
+    * and `pairs`, and uses the read arrays as scratch below the top level.
+    */
+  private final class Partition(
+      bounds: Array[Int],
+      chunksOf: Int => Int,
+      readKeys: Array[Long],
+      readPairs: Array[Long],
+  ) {
+    val keys = new Array[Long](readKeys.length)
+    val pairs = new Array[Long](readPairs.length)
+
+    /** Reorders positions `[from, until)`, whose keys lie in `[min, max]`,
+      * so that every cut inside the range falls between two buckets, with
+      * every key of the first below every key of the second, or inside a
+      * run of one key.
+      *
+      * One pass per chunk counts each chunk's histogram of the top digit of
+      * `key - min`, whose width [[digitBits]] derives from the range's
+      * size, so only the span in use is bucketed. Each (bucket, chunk) gets
+      * its start in bucket-major, chunk-minor order, so equal keys keep
+      * their input order, and each chunk scatters its range there. Each
+      * bucket that a cut falls strictly inside and that holds more than one
+      * key is split again on the next digit, in parallel across buckets; the
+      * others are never touched again. The top level (`fromRead`) reads the
+      * read arrays and writes `keys`; every other level scatters `keys` to
+      * the read arrays and copies its range back.
+      */
+    def split(from: Int, until: Int, min: Long, max: Long, fromRead: Boolean): Unit = {
+      val srcKeys = if (fromRead) readKeys else keys
+      val srcPairs = if (fromRead) readPairs else pairs
+      val dstKeys = if (fromRead) keys else readKeys
+      val dstPairs = if (fromRead) pairs else readPairs
+      val chunks = chunksOf(until - from)
+      val lo = chunkStarts(from, until, chunks)
+      val span = max - min
+      val shift = math.max(0, 64 - java.lang.Long.numberOfLeadingZeros(span) - digitBits(until - from))
+      val buckets = (span >>> shift).toInt + 1
+      val next = Array.fill(chunks)(new Array[Int](buckets))
+      inTasks(chunks, parallel = true) { t =>
+        val count = next(t)
+        var j = lo(t)
+        while (j < lo(t + 1)) { count(((srcKeys(j) - min) >>> shift).toInt) += 1; j += 1 }
+      }
+      val ends = new Array[Int](buckets)
+      var sum = from
+      var b = 0
+      while (b < buckets) {
+        var t = 0
+        while (t < chunks) { val c = next(t)(b); next(t)(b) = sum; sum += c; t += 1 }
+        ends(b) = sum
+        b += 1
+      }
+      inTasks(chunks, parallel = true) { t =>
+        val at = next(t)
+        var j = lo(t)
+        while (j < lo(t + 1)) {
+          val key = srcKeys(j)
+          val slot = ((key - min) >>> shift).toInt
+          val pos = at(slot)
+          dstKeys(pos) = key
+          dstPairs(pos) = srcPairs(j)
+          at(slot) = pos + 1
+          j += 1
+        }
+      }
+      if (!fromRead) inTasks(chunks, parallel = true) { t =>
+        System.arraycopy(dstKeys, lo(t), keys, lo(t), lo(t + 1) - lo(t))
+        System.arraycopy(dstPairs, lo(t), pairs, lo(t), lo(t + 1) - lo(t))
+      }
+      val cut = Array.newBuilder[Int]
+      var c = firstCutAbove(bounds, from)
+      b = 0
+      while (c < bounds.length && bounds(c) < until) {
+        while (ends(b) <= bounds(c)) b += 1
+        val start = if (b == 0) from else ends(b - 1)
+        if (bounds(c) == start) c += 1
+        else {
+          if (ends(b) - start > 1) cut += b
+          while (c < bounds.length && bounds(c) < ends(b)) c += 1
+        }
+      }
+      val refine = cut.result()
+      inTasks(refine.length, parallel = chunks > 1) { i =>
+        val b = refine(i)
+        val start = if (b == 0) from else ends(b - 1)
+        if (ends(b) - start <= SortRange) insertionSort(start, ends(b))
+        else {
+          var lo = Long.MaxValue
+          var hi = Long.MinValue
+          var j = start
+          while (j < ends(b)) { val key = keys(j); if (key < lo) lo = key; if (key > hi) hi = key; j += 1 }
+          if (lo != hi) split(start, ends(b), lo, hi, fromRead = false)
+        }
+      }
+    }
+
+    /** Sorts positions `[from, until)` of `keys` and `pairs` by key, stably. */
+    private def insertionSort(from: Int, until: Int): Unit = {
+      var i = from + 1
+      while (i < until) {
+        val key = keys(i)
+        val pair = pairs(i)
+        var j = i
+        while (j > from && keys(j - 1) > key) { keys(j) = keys(j - 1); pairs(j) = pairs(j - 1); j -= 1 }
+        keys(j) = key
+        pairs(j) = pair
+        i += 1
+      }
+    }
+  }
 
   /** The paper's optimized algorithm (Appendix D, Algorithm 1): a single
     * pass over the score-sorted matches through a tracked-union union-find,
     * maintaining the experiment∩ground-truth intersection clustering
     * dynamically. Worst-case O(n + |Matches| * (s + log|Matches|)).
     *
-    * The matches are checked and ordered by a primitive radix sort
-    * (`sortedPairs`) into the same order `naive`'s `sortBy` gives, and the
-    * pass runs over the resulting `Int` arrays. Each effective union is a
-    * `trackedUnion` batch of one: [[UnionFind.union]] returns the survivor,
-    * the larger cluster, and [[DynamicIntersection.fold]] folds the absorbed
-    * cluster into it at once. A snapshot reads only the pair counts, so
-    * batching would not change a sample point's matrix. Set-up is three
-    * arrays of size `n` and the gold pair count; the pass allocates nothing
-    * per match, merge or cluster.
+    * A snapshot reads only pair counts, and a closure's pair counts do not
+    * depend on the order its unions run in, so the pass needs each sample
+    * point's matches, not their order: [[segments]] checks the matches and
+    * cuts them into the `s - 1` segments by a stable radix partition (see
+    * [[sweep]]), and the pass runs over each segment's packed pairs. Each
+    * effective union is a `trackedUnion` batch of one: [[UnionFind.union]]
+    * returns the survivor, the larger cluster, and
+    * [[DynamicIntersection.fold]] folds the absorbed cluster into it at
+    * once. Set-up is three arrays of size `n` and the gold pair count; the
+    * pass allocates nothing per match, merge or cluster.
     */
   def custom(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): IndexedSeq[ConfusionMatrix] =
     sweep(n, gold, matches, s)._1
 
   /** [[custom]]'s matrices, each with its sample point's threshold: the
-    * lowest score the point admits, read from the sorted keys, or +∞ at a
-    * point that admits no match.
+    * lowest score the point admits, or +∞ at a point that admits no match.
+    * The threshold is the running maximum of the segments' keys, decoded
+    * by [[keyScore]].
+    *
+    * The partition reads the matches once, in `min(cores, ceil(|M| /
+    * 65,536))` chunks, and scatters them once by the top digit of the key
+    * span in use. Only a bucket that a sample point's cut falls strictly
+    * inside is scattered again, on the next digit, until the cut falls on a
+    * bucket edge or inside a run of one key, a tie group; a bucket between
+    * two cuts is never touched again. So the cost is one read and one
+    * scatter of every match, plus at most `s - 2` buckets per further
+    * digit, where a full sort scatters every match once per digit: the
+    * `|M|·log|M|` term of the bound is paid only near the cuts. Every
+    * scatter is stable, so a tie group that a cut splits holds its matches
+    * in input order, and the cut admits exactly the prefix of the group that
+    * `sortBy(-_.score)` admits: matrices and thresholds equal those of a
+    * full sort.
     */
   private[repro] def sweep(
       n: Int,
@@ -242,11 +348,7 @@ object MetricDiagram {
       s: Int,
   ): (IndexedSeq[ConfusionMatrix], Array[Double]) = {
     checkGold(n, gold)
-    val cores = Runtime.getRuntime.availableProcessors
-    val chunks = math.max(1, math.min(cores, ((matches.length + ChunkMatches - 1L) / ChunkMatches).toInt))
-    val (a, b, keys) = sortedPairs(n, matches, chunks)
-    val bounds = boundaries(a.length, s)
-    val thresholds = bounds.map(k => if (k == 0) Double.PositiveInfinity else keyScore(keys(k - 1)))
+    val (pairs, keys, bounds) = segments(n, matches, s, coreChunks)
     val exp = new UnionFind(n)
     val intersect = new DynamicIntersection(gold)
     val goldPairs = Contingency.clusterPairs(gold)
@@ -259,18 +361,24 @@ object MetricDiagram {
       val fn = goldPairs - tp
       ConfusionMatrix(tp, fp, fn, total - tp - fp - fn)
     }
+    val thresholds = new Array[Double](s)
+    thresholds(0) = Double.PositiveInfinity
     out += snapshot()
+    var maxKey = Long.MinValue
     var k = 0
     var i = 1
     while (i < s) {
       while (k < bounds(i)) {
-        val ra = exp.find(a(k)); val rb = exp.find(b(k))
+        val key = keys(k)
+        if (key > maxKey) maxKey = key
+        val ra = exp.find((pairs(k) >>> 32).toInt); val rb = exp.find(pairs(k).toInt)
         if (ra != rb) {
           val survivor = exp.union(ra, rb)
           intersect.fold(if (survivor == ra) rb else ra, survivor)
         }
         k += 1
       }
+      thresholds(i) = if (k == 0) Double.PositiveInfinity else keyScore(maxKey)
       out += snapshot()
       i += 1
     }

@@ -62,13 +62,20 @@ object EmGen {
     * a record-indexed array), and a labeled pair sample with the spec's
     * positive ratio (the "development set" practitioners label).
     */
-  final case class EmDataset(
-      spec: EmSpec,
-      records: DataFrame,
-      gold: DataFrame,
-      goldArray: Array[Int],
-      labeledPairs: DataFrame,
-  )
+  final class EmDataset(
+      val spec: EmSpec,
+      val records: DataFrame,
+      val gold: DataFrame,
+      val goldArray: Array[Int],
+      sample: => DataFrame,
+  ) {
+
+    /** Drawn on first use: only Table 2 reads it. It is the last draw from
+      * the generator's `Random`, which nothing else holds, so the sample
+      * does not depend on when it is drawn.
+      */
+    lazy val labeledPairs: DataFrame = sample
+  }
 
   /** Zipf sampler over `0 until n` with exponent `alpha`. */
   private final class ZipfSampler(n: Int, alpha: Double, rnd: Random) {
@@ -155,7 +162,7 @@ object EmGen {
     }
     val goldDf = records.select("id", "cluster")
 
-    EmDataset(spec, records, goldDf, gold, labeledPairs(spark, spec, gold, rnd))
+    new EmDataset(spec, records, goldDf, gold, labeledPairs(spark, spec, gold, rnd))
   }
 
   /** Labeled pair sample: all true duplicate pairs plus uniformly sampled

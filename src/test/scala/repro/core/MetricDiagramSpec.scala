@@ -186,13 +186,15 @@ class MetricDiagramSpec extends AnyFunSuite {
     }
   }
 
-  /** `sortedPairs` gives `sortBy(-score)`'s order and the same keys under
-    * every chunk count, custom equals naive at every sample point, and each
-    * point's threshold is, bit for bit, the score of the last match it
-    * admits.
+  /** `segments` cuts the matches as a full sort does under every chunk
+    * count and at several sample counts (with cuts inside tie groups, and
+    * more segments than matches), custom equals naive at every sample point,
+    * and each point's threshold is, bit for bit, the score of the last match
+    * a full sort admits.
     */
   private def checkSweep(n: Int, gold: Array[Int], matches: IndexedSeq[ScoredMatch], s: Int): Unit = {
-    checkOrder(n, matches)
+    val m = matches.length
+    for (cuts <- Seq(s, 2, 3, 2 + m / 3, m + 1, m + 3) if cuts >= 2) checkSegments(n, matches, cuts)
     val sorted = matches.sortBy(-_.score)
     val (custom, thresholds) = MetricDiagram.sweep(n, gold, matches, s)
     assertSame("custom", custom, "naive", MetricDiagram.naive(n, gold, matches, s))
@@ -205,38 +207,47 @@ class MetricDiagramSpec extends AnyFunSuite {
 
   private val chunkCounts = Seq(1, 2, 3, 4, 7)
 
-  /** For each chunk count, `sortedPairs` gives exactly `sortBy(-score)`'s
-    * pairs and exactly the one-chunk sort's keys.
+  /** For each chunk count, [[checkSegmentsIn]] with that many chunks at
+    * every level.
     */
-  private def checkOrder(n: Int, matches: IndexedSeq[ScoredMatch]): Unit = {
+  private def checkSegments(n: Int, matches: IndexedSeq[ScoredMatch], s: Int): Unit =
+    chunkCounts.foreach(chunks => checkSegmentsIn(n, matches, s, _ => chunks))
+
+  /** `segments` in `chunksOf(size)` chunks per range gives the bounds of
+    * `boundaries`, and each segment holds exactly the matches (pairs and
+    * scores, bit for bit) that `sortBy(-score)` puts there.
+    */
+  private def checkSegmentsIn(n: Int, matches: IndexedSeq[ScoredMatch], s: Int, chunksOf: Int => Int): Unit = {
     val sorted = matches.sortBy(-_.score)
-    val (_, _, oneChunkKeys) = MetricDiagram.sortedPairs(n, matches, 1)
-    for (chunks <- chunkCounts) {
-      val (a, b, keys) = MetricDiagram.sortedPairs(n, matches, chunks)
-      val order = a.toSeq.zip(b)
-      assert(order.length == sorted.length)
-      val firstOff = order.indices.indexWhere(j => order(j) != ((sorted(j).a, sorted(j).b)))
-      if (firstOff >= 0)
-        fail(s"sortedPairs in $chunks chunks differs from sortBy first at match $firstOff: ${order(firstOff)} vs ${sorted(firstOff)}")
-      val keyOff = keys.indices.indexWhere(j => keys(j) != oneChunkKeys(j))
-      if (keyOff >= 0)
-        fail(s"sortedPairs in $chunks chunks differs from one chunk first at key $keyOff: ${keys(keyOff)} vs ${oneChunkKeys(keyOff)}")
+    val chunks = chunksOf(matches.length)
+    val (pairs, keys, bounds) = MetricDiagram.segments(n, matches, s, chunksOf)
+    assert(bounds.toSeq == MetricDiagram.boundaries(matches.length, s).toSeq)
+    assert(pairs.length == sorted.length && keys.length == sorted.length)
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    val got = pairs.indices.map(j => ((pairs(j) >>> 32).toInt, pairs(j).toInt, bits(MetricDiagram.keyScore(keys(j)))))
+    val want = sorted.map(x => (x.a, x.b, bits(x.score)))
+    val off = (1 until s).indexWhere { i =>
+      got.slice(bounds(i - 1), bounds(i)).sorted != want.slice(bounds(i - 1), bounds(i)).sorted
+    }
+    if (off >= 0) {
+      val (from, until) = (bounds(off), bounds(off + 1))
+      fail(s"segments in $chunks chunks at s = $s differ from sortBy in segment ${off + 1} [$from, $until): " +
+        s"${got.slice(from, until)} vs ${want.slice(from, until)}")
     }
   }
 
-  test("sortedPairs gives one order for every chunk count on 0, 1 and fewer matches than chunks") {
+  test("segments are one set for every chunk count on 0, 1 and fewer matches than chunks") {
     val rnd = new Random(3)
     for (m <- 0 to 6) {
       val matches = IndexedSeq.fill(m)(ScoredMatch(rnd.nextInt(5), 5 + rnd.nextInt(5), rnd.nextInt(3) / 2.0))
-      checkOrder(10, matches)
+      Seq(2, 3, m + 1, m + 3).filter(_ >= 2).foreach(s => checkSegments(10, matches, s))
     }
   }
 
-  // Each chunk's range in order, so every chunk's read finds it sorted: the
-  // already-in-order shortcut must sort anyway when the ranges are out of
-  // order against each other, and keep the input when they are not.
+  // Each chunk's range in order, but the ranges out of order against each
+  // other, and globally sorted input.
   for (seed <- 1 to 6) {
-    test(s"sortedPairs sorts input that is in order within each chunk but not across chunks (seed=$seed)") {
+    test(s"segments cut input that is in order within each chunk but not across chunks (seed=$seed)") {
       val rnd = new Random(seed)
       val n = 40
       val m = rnd.nextInt(200)
@@ -251,9 +262,7 @@ class MetricDiagramSpec extends AnyFunSuite {
         val descendingPerChunk = lo.sliding(2).flatMap(r => ascending.slice(r(0), r(1)).reverse).toIndexedSeq
         Seq(descendingPerChunk, ascending.reverse).foreach { sc =>
           val matches = pairs(sc)
-          val sorted = matches.sortBy(-_.score)
-          val (a, b, _) = MetricDiagram.sortedPairs(n, matches, chunks)
-          assert(a.toSeq.zip(b) == sorted.map(x => (x.a, x.b)), s"$chunks chunks")
+          Seq(2, 5, m + 1).filter(_ >= 2).foreach(s => checkSegmentsIn(n, matches, s, _ => chunks))
         }
       }
     }
@@ -262,7 +271,7 @@ class MetricDiagramSpec extends AnyFunSuite {
   // Two invalid matches in different chunks: the error names the lower
   // index, word for word as naive's sequential check does, whichever chunk
   // fails first.
-  test("sortedPairs names the first offending match across chunks") {
+  test("segments name the first offending match across chunks") {
     val n = 10
     val invalid = Seq(ScoredMatch(3, 4, Double.NaN), ScoredMatch(3, n, 0.5), ScoredMatch(-1, 3, 0.5), ScoredMatch(6, 6, 0.5))
     val m = 28
@@ -273,9 +282,41 @@ class MetricDiagramSpec extends AnyFunSuite {
       val expected = intercept[IllegalArgumentException](MetricDiagram.naive(n, Array.fill(n)(0), matches, 2)).getMessage
       assert(expected.startsWith("match 1 "))
       for (chunks <- chunkCounts) {
-        val e = intercept[IllegalArgumentException](MetricDiagram.sortedPairs(n, matches, chunks))
+        val e = intercept[IllegalArgumentException](MetricDiagram.segments(n, matches, 2, _ => chunks))
         assert(e.getMessage == expected, s"$chunks chunks")
       }
+    }
+  }
+
+  test("custom and naive report an invalid match before too few sample points") {
+    val gold = Array(0, 0, 1)
+    val bad = IndexedSeq(ScoredMatch(0, 1, 0.9), ScoredMatch(1, 1, 0.5))
+    val valid = IndexedSeq(ScoredMatch(0, 1, 0.9))
+    for (matches <- Seq(bad, valid); s <- Seq(1, 0)) {
+      val messages = Seq(MetricDiagram.custom _, MetricDiagram.naive _).map { algo =>
+        intercept[IllegalArgumentException](algo(3, gold, matches, s)).getMessage
+      }
+      assert(messages.distinct.size == 1, messages)
+      assert(messages.head.contains(if (matches == bad) "match 1 is a self-pair" else "need at least 2 sample points"))
+    }
+  }
+
+  // Table 3's tuning shape at a size where the partition reads and scatters
+  // in several chunks and refines buckets large enough to be chunked again:
+  // scores on a 1/40000 grid (heavy ties, most cuts inside a tie group) and
+  // arbitrary doubles (nearly all distinct).
+  for ((shape, score) <- Seq[(String, Random => Double)](
+      "tied grid" -> (r => math.round(r.nextDouble() * 40000) / 40000.0),
+      "distinct" -> (r => r.nextDouble()))) {
+    test(s"segments equal a full sort's on 300,000 matches with $shape scores at s = 2001") {
+      val rnd = new Random(41)
+      val n = 50000
+      val matches = IndexedSeq.fill(300000) {
+        val a = rnd.nextInt(n)
+        ScoredMatch(a, (a + 1 + rnd.nextInt(n - 1)) % n, score(rnd))
+      }
+      Seq(1, 3).foreach(chunks => checkSegmentsIn(n, matches, 2001, _ => chunks))
+      checkSegmentsIn(n, matches, 2001, m => math.max(1, math.min(4, (m + 32767) / 32768)))
     }
   }
 
