@@ -214,7 +214,8 @@ object MetricDiagram {
       * its start in bucket-major, chunk-minor order, so equal keys keep
       * their input order, and each chunk scatters its range there. Each
       * bucket that a cut falls strictly inside and that holds more than one
-      * key is split again on the next digit, in parallel across buckets; the
+      * key is split again on the next digit, in parallel across buckets, or
+      * sorted by insertion if it holds at most [[SortRange]] matches; the
       * others are never touched again. The top level (`fromRead`) reads the
       * read arrays and writes `keys`; every other level scatters `keys` to
       * the read arrays and copies its range back.
@@ -304,7 +305,8 @@ object MetricDiagram {
   }
 
   /** The paper's optimized algorithm (Appendix D, Algorithm 1): a single
-    * pass over the score-sorted matches through a tracked-union union-find,
+    * pass over the matches, segment by segment in score order, through a
+    * tracked-union union-find,
     * maintaining the experiment∩ground-truth intersection clustering
     * dynamically. Worst-case O(n + |Matches| * (s + log|Matches|)).
     *
@@ -331,8 +333,9 @@ object MetricDiagram {
     * 65,536))` chunks, and scatters them once by the top digit of the key
     * span in use. Only a bucket that a sample point's cut falls strictly
     * inside is scattered again, on the next digit, until the cut falls on a
-    * bucket edge or inside a run of one key, a tie group; a bucket between
-    * two cuts is never touched again. So the cost is one read and one
+    * bucket edge or inside a run of one key, a tie group (a bucket of at
+    * most 32 matches is sorted by insertion instead); a bucket between two
+    * cuts is never touched again. So the cost is one read and one
     * scatter of every match, plus at most `s - 2` buckets per further
     * digit, where a full sort scatters every match once per digit: the
     * `|M|·log|M|` term of the bound is paid only near the cuts. Every
