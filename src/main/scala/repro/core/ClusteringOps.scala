@@ -21,11 +21,6 @@ object ClusteringOps {
       .filter(col("a") < col("b"))
       .distinct()
 
-  /** Number of intra-cluster pairs, Σ_c C(|c|, 2), without materializing them. */
-  def pairCount(clustering: DataFrame): Long =
-    Rows.long(clustering.groupBy(col("cluster")).agg(count(lit(1)).as("n"))
-      .agg(sum(expr("n * (n - 1) / 2"))).collect()(0), 0)
-
   /** Intersection clustering of two clusterings over the same records:
     * (id, cluster = (expCluster, goldCluster) pair key). Returned as
     * (id: Long, ecluster: Long, gcluster: Long).

@@ -72,17 +72,15 @@ object ErrorAnalysis {
       falseName: String,
       ratioName: String,
   ): DataFrame = {
-    val left  = records.select((col("id").as("a") +: attrs.map(c => col(c).as(s"la_$c"))).toSeq: _*)
-    val right = records.select((col("id").as("b") +: attrs.map(c => col(c).as(s"rb_$c"))).toSeq: _*)
-    // One aggregation over the join: per attribute, the pairs the predicate
-    // holds for and the misclassified ones among them (a null `correct`
-    // counts as misclassified).
+    // One aggregation over the pairs joined with both records: per
+    // attribute, the pairs the predicate holds for and the misclassified
+    // ones among them (a null `correct` counts as misclassified).
     val misclassified = !coalesce(col("correct"), lit(false))
     val counts = attrs.flatMap { a =>
-      val hit = pred(col(s"la_$a"), col(s"rb_$a"))
+      val hit = pred(col(s"a_$a"), col(s"b_$a"))
       Seq(count(when(hit, true)), count(when(hit && misclassified, true)))
     }
-    val agg = pairs.join(left, Seq("a")).join(right, Seq("b")).select(counts: _*).collect()(0)
+    val agg = SetComparison.enrich(pairs, records.select(("id" +: attrs).map(col): _*)).select(counts: _*).collect()(0)
     val rows = attrs.indices.map { i =>
       val cnt = Rows.long(agg, 2 * i)
       val falseCnt = Rows.long(agg, 2 * i + 1)

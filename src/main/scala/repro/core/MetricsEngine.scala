@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, count, lit, when}
+import org.apache.spark.sql.functions.{col, count, when}
 
 /** Spark-side confusion-matrix computation between an experiment clustering
   * and a ground-truth clustering (Frost, Sections 3.2.1 and 5.3: "nearly all
@@ -51,21 +51,16 @@ object MetricsEngine {
     * intermediate pipeline stages where results are not transitively closed
     * (e.g. the candidate generation phase, Section 3.2.1).
     *
-    * One query: a full outer join of the two canonical pair sets, each row
-    * flagged by the side it comes from, and one aggregation of the
-    * experiment, gold and shared pair counts.
+    * One aggregation over the Venn regions of the two pair sets (Section
+    * 4.1): region 3 is E∩G (TP), 1 is E∖G (FP) and 2 is G∖E (FN).
     */
   def confusionMatrixFromPairs(expPairs: DataFrame, goldPairs: DataFrame, n: Long): ConfusionMatrix = {
-    val e = ClusteringOps.canonicalPairs(expPairs).withColumn("inExp", lit(true))
-    val g = ClusteringOps.canonicalPairs(goldPairs).withColumn("inGold", lit(true))
-    val counts = e.join(g, Seq("a", "b"), "full_outer")
-      .agg(count(col("inExp")), count(col("inGold")), count(when(col("inExp") && col("inGold"), true)))
-      .collect()(0)
-    val ec = Rows.long(counts, 0)
-    val gc = Rows.long(counts, 1)
-    val tp = Rows.long(counts, 2)
-    val total = ConfusionMatrix.pairsOf(n)
-    ConfusionMatrix(tp, ec - tp, gc - tp, total - ec - gc + tp)
+    val counts = SetComparison.vennRegions(Seq(expPairs, goldPairs))
+      .select(Seq(3, 1, 2).map(r => count(when(col("region") === r, true))): _*).collect()(0)
+    val tp = Rows.long(counts, 0)
+    val fp = Rows.long(counts, 1)
+    val fn = Rows.long(counts, 2)
+    ConfusionMatrix(tp, fp, fn, ConfusionMatrix.pairsOf(n) - tp - fp - fn)
   }
 
   /** All named pair metrics for a matrix, as (metric, value) rows. */

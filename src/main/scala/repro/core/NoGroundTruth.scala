@@ -8,21 +8,14 @@ import repro.graph.ConnectedComponents
 object NoGroundTruth {
 
   /** Number of pairs missing to transitively close a match set: the pair
-    * count of the closure minus the distinct proposed pairs. The larger,
-    * the more inconsistent the proposed matches.
-    *
-    * The canonical pair set is cached because two queries read it: the
-    * closure collects it as edges and the proposed pairs are its count.
-    * Without the cache the second query recomputes its `distinct`.
+    * count of the closure minus the distinct proposed pairs, both counted on
+    * the driver over the collected canonical pairs. The larger, the more
+    * inconsistent the proposed matches.
     */
-  def missingClosurePairs(records: DataFrame, matchPairs: DataFrame): Long = {
-    val pairs = ClusteringOps.canonicalPairs(matchPairs).cache()
-    val edges = pairs.select(col("a").as("src"), col("b").as("dst"))
-    val clustering = ConnectedComponents.closure(records, edges)
-    val closed = ClusteringOps.pairCount(clustering)
-    val proposed = pairs.count()
-    pairs.unpersist()
-    closed - proposed
+  def missingClosurePairs(matchPairs: DataFrame): Long = {
+    val edges = ClusteringOps.canonicalPairs(matchPairs).select(col("a").as("src"), col("b").as("dst"))
+    val (src, dst) = ConnectedComponents.collectEdges(edges, ConnectedComponents.maxEdges)
+    ConnectedComponents.closedPairCount(src, dst) - src.length
   }
 
   /** Consensus deviation (majority vote over several experiments): for every

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -59,11 +59,7 @@ object PairSelection {
       seed: Long = 42,
   ): DataFrame = {
     require(numPartitions >= 1 && b >= 1, "need positive partition count and budget")
-    val w = Window.orderBy(col("score"))
-    val ranked = pairs.withColumn(
-      "partition",
-      least(lit(numPartitions - 1), floor((ntile(numPartitions).over(w) - 1)).cast("int")),
-    )
+    val ranked = pairs.withColumn("partition", scorePartition(numPartitions))
     sampling match {
       case "random" =>
         val byPart = Window.partitionBy(col("partition")).orderBy(rand(seed))
@@ -99,12 +95,16 @@ object PairSelection {
     }
   }
 
+  /** Each pair's equal-frequency score partition, `0 until k`, in ascending
+    * score order.
+    */
+  private def scorePartition(k: Int): Column = ntile(k).over(Window.orderBy(col("score"))) - 1
+
   /** Per-partition confusion labels (4.2.3): partitions annotated with their
     * correct/incorrect counts so users can focus on unconfident sections.
     */
   def partitionConfidence(pairs: DataFrame, numPartitions: Int): DataFrame = {
-    val w = Window.orderBy(col("score"))
-    pairs.withColumn("partition", (ntile(numPartitions).over(w) - 1))
+    pairs.withColumn("partition", scorePartition(numPartitions))
       .groupBy(col("partition"))
       .agg(
         count(lit(1)).as("pairs"),

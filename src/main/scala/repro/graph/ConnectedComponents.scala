@@ -55,7 +55,7 @@ object ConnectedComponents {
     * scans the partitions in growing jobs instead, and a DataFrame exchange
     * would be a job of its own under adaptive execution.)
     */
-  private[graph] def collectEdges(edges: DataFrame, cap: Int): (Array[Long], Array[Long]) = {
+  private[repro] def collectEdges(edges: DataFrame, cap: Int): (Array[Long], Array[Long]) = {
     val ends = edges.select(col("src").cast("long"), col("dst").cast("long"))
     val rows = ends.rdd.mapPartitions(_.take(cap + 1)).repartition(1).mapPartitions(_.take(cap + 1)).collect()
     if (rows.length > cap)
@@ -78,13 +78,22 @@ object ConnectedComponents {
     StructField("id", LongType, nullable = false),
     StructField("ccluster", LongType, nullable = false)))
 
-  /** Every endpoint ID of the edges, ascending, and its component's minimum ID. */
-  private def components(src: Array[Long], dst: Array[Long]): (Array[Long], Array[Long]) = {
+  /** Pairs in the edges' transitive closure, Σ C(|c|, 2) over their components. */
+  private[repro] def closedPairCount(src: Array[Long], dst: Array[Long]): Long = unionAll(src, dst)._2.pairCount
+
+  /** Every endpoint ID of the edges, ascending, and every edge unioned over its indices there. */
+  private def unionAll(src: Array[Long], dst: Array[Long]): (Array[Long], UnionFind) = {
     val ids = (src ++ dst).sorted.distinct
     def dense(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
     val uf = new UnionFind(ids.length)
     var k = 0
     while (k < src.length) { uf.union(dense(src(k)), dense(dst(k))); k += 1 }
+    (ids, uf)
+  }
+
+  /** Every endpoint ID of the edges, ascending, and its component's minimum ID. */
+  private def components(src: Array[Long], dst: Array[Long]): (Array[Long], Array[Long]) = {
+    val (ids, uf) = unionAll(src, dst)
     // IDs ascend, so the first member seen of each component is its minimum.
     val minOf = Array.fill(ids.length)(-1)
     val minima = Array.tabulate(ids.length) { i =>

@@ -20,21 +20,6 @@ class ClusteringOpsSpec extends SparkSpec {
     assert(got == Set((0L, 1L), (0L, 2L), (1L, 2L), (3L, 4L)))
   }
 
-  test("pairCount computes sum of C(n,2)") {
-    val c = clustering((0L, 10L), (1L, 10L), (2L, 10L), (3L, 20L), (4L, 20L), (5L, 30L))
-    assert(ClusteringOps.pairCount(c) == 4L)
-  }
-
-  test("pairCount of all singletons is zero") {
-    val c = clustering((0L, 0L), (1L, 1L), (2L, 2L))
-    assert(ClusteringOps.pairCount(c) == 0L)
-  }
-
-  test("pairCount agrees with materialized pairsFromClustering on a bigger clustering") {
-    val c = (0L until 200L).map(i => (i, i % 13)).toDF("id", "cluster")
-    assert(ClusteringOps.pairCount(c) == ReferencePairs.pairsFromClustering(c).count())
-  }
-
   test("intersection joins the two clusterings by record") {
     val exp = clustering((0L, 1L), (1L, 1L), (2L, 2L))
     val gold = clustering((0L, 7L), (1L, 8L), (2L, 7L))

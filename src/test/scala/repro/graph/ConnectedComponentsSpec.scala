@@ -2,6 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.ReferencePairs
 
 class ConnectedComponentsSpec extends SparkSpec {
   import spark.implicits._
@@ -129,6 +130,26 @@ class ConnectedComponentsSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](ConnectedComponents.collectEdges(sims.select(col("a").as("src"), col("b").as("dst")), 600))
     assert(e.getMessage.contains("4000 edges") && e.getMessage.contains("cap of 600 edges"), e.getMessage)
     sims.unpersist()
+  }
+
+  private def closedPairs(edges: (Long, Long)*): Long =
+    ConnectedComponents.closedPairCount(edges.map(_._1).toArray, edges.map(_._2).toArray)
+
+  test("closedPairCount of clusters 3, 2, 1 is 4") {
+    // The clusters {0, 1, 2}, {3, 4} and {5} as edges, in both orientations.
+    assert(closedPairs((0L, 1L), (2L, 1L), (3L, 4L), (5L, 5L)) == 4L)
+  }
+
+  test("closedPairCount of singletons is zero") {
+    assert(closedPairs() == 0L)
+    assert(closedPairs((0L, 0L), (1L, 1L), (2L, 2L)) == 0L)
+  }
+
+  test("closedPairCount equals pairsFromClustering") {
+    val c = (0L until 200L).map(i => (i, i % 13)).toDF("id", "cluster")
+    // Each record joined to the previous record of its cluster.
+    val edges = (13L until 200L).map(i => (i - 13, i))
+    assert(closedPairs(edges: _*) == ReferencePairs.pairsFromClustering(c).count())
   }
 
   test("matches driver-side union-find on a random graph") {
