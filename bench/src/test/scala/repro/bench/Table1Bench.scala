@@ -64,7 +64,7 @@ class Table1Bench extends AnyFunSuite {
       s"""{
          |  "environment": ${json(banner)},
          |  "sample_points": ${Table1.samplePoints},
-         |  "timing": ${json(s"best (custom_ms, naive_ms, speedup), median and quartiles of $reps reps after a warm-up run, ms")},
+         |  "timing": ${json(s"best (custom_ms, naive_ms, speedup), median and quartiles of $reps reps after $reps untimed custom reps, ms")},
          |  "workloads": [
          |${rows.mkString(",\n")}
          |  ]
