@@ -110,8 +110,8 @@ object NoGroundTruthSpec {
     Gen.frequency(1 -> Gen.const(Seq.empty), 7 -> Gen.choose(1, 14).flatMap(Gen.listOfN(_, Gen.zip(id, id))))
   }
 
-  /** Pairs of the closure, enumerated by merging components until no
-    * proposed pair joins two, minus the distinct canonical proposed pairs.
+  /** The closure's pair count, over components merged until no proposed
+    * pair joins two, minus the distinct canonical proposed pairs.
     */
   def bruteForce(pairs: Seq[(Long, Long)]): Long = {
     val proposed = pairs.collect { case (a, b) if a != b => (a min b, a max b) }.toSet
