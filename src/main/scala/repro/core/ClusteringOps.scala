@@ -14,19 +14,19 @@ object ClusteringOps {
 
   /** Canonicalize an edge/pair DataFrame with columns `a`, `b` to a < b and
     * drop self-pairs and duplicates.
+    *
+    * A pair with a null endpoint fails the query that reads it, with a
+    * message naming the pair (`least` and `greatest` would skip the null
+    * and make it a self-pair); the check adds no Spark job.
     */
-  def canonicalPairs(pairs: DataFrame): DataFrame =
+  def canonicalPairs(pairs: DataFrame): DataFrame = {
+    def shown(c: String) = coalesce(col(c).cast("string"), lit("null"))
+    val checked = when(col("a").isNull || col("b").isNull,
+      raise_error(concat(lit("pair ("), shown("a"), lit(", "), shown("b"), lit(") has a null endpoint"))))
     pairs
-      .select(least(col("a"), col("b")).as("a"), greatest(col("a"), col("b")).as("b"))
+      .select(checked.otherwise(least(col("a"), col("b"))).as("a"),
+        checked.otherwise(greatest(col("a"), col("b"))).as("b"))
       .filter(col("a") < col("b"))
       .distinct()
-
-  /** Intersection clustering of two clusterings over the same records:
-    * (id, cluster = (expCluster, goldCluster) pair key). Returned as
-    * (id: Long, ecluster: Long, gcluster: Long).
-    */
-  def intersection(exp: DataFrame, gold: DataFrame): DataFrame =
-    exp.select(col("id"), col("cluster").as("ecluster"))
-      .join(gold.select(col("id").as("gid"), col("cluster").as("gcluster")), col("id") === col("gid"))
-      .select(col("id"), col("ecluster"), col("gcluster"))
+  }
 }

@@ -1,50 +1,75 @@
 package repro.core
 
-import scala.collection.mutable
-
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, count, when}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, count, lit, when}
 
 /** Spark-side confusion-matrix computation between an experiment clustering
   * and a ground-truth clustering (Frost, Sections 3.2.1 and 5.3: "nearly all
   * calculations ... are performed using transitively closed clusters instead
   * of pairs").
-  *
-  * TP is the intra-cluster pair count of the intersection clustering;
-  * FP/FN/TN follow from the experiment/gold pair counts and C(|D|, 2).
-  * All three counts come from the intersection's group sizes, the identity
-  * Appendix D maintains incrementally.
   */
 object MetricsEngine {
 
-  /** Confusion matrix from two clusterings over the same `n` records, from
-    * one aggregation: the sizes c of the (experiment, gold) cluster groups
-    * of the intersection, collected to the driver (at most `n` of them).
-    * TP is Σ C(c, 2); the experiment pairs are Σ over experiment clusters
-    * of C(Σ c, 2), and the gold pairs the same over gold clusters.
+  /** Confusion matrix from two clusterings over the same `n` records: both
+    * clusterings' (id, cluster) rows are collected in one Spark job (at most
+    * 2n rows, a union of two projections), joined by ID on the driver, and
+    * counted by [[ConfusionMatrix.fromClusterings]], the one contingency
+    * table of two clusterings. Rows with a null ID join nothing.
     *
     * @throws IllegalArgumentException if the clusterings do not join on
-    *         exactly `n` records, naming both counts
+    *         exactly `n` records, naming both counts, or if either side has
+    *         an ID twice or a null cluster, naming the ID and the side
     */
   def confusionMatrix(exp: DataFrame, gold: DataFrame, n: Long): ConfusionMatrix = {
-    val groups = ClusteringOps.intersection(exp, gold)
-      .groupBy(col("ecluster"), col("gcluster")).count().collect()
-    val expSizes = mutable.HashMap.empty[Any, Long].withDefaultValue(0L)
-    val goldSizes = mutable.HashMap.empty[Any, Long].withDefaultValue(0L)
-    var joined = 0L
-    var tp = 0L
-    groups.foreach { r =>
-      val c = r.getLong(2)
-      joined += c
-      tp += ConfusionMatrix.pairsOf(c)
-      expSizes(r.get(0)) += c
-      goldSizes(r.get(1)) += c
+    def rows(c: DataFrame, side: Int) = c.select(lit(side), col("id").cast("long"), col("cluster").cast("long"))
+    val collected = rows(exp, 0).union(rows(gold, 1)).collect()
+    def side(k: Int) = collected.filter(r => r.getInt(0) == k && !r.isNullAt(1))
+    val (eIds, eClusters) = byId("experiment", side(0))
+    val (gIds, gClusters) = byId("gold", side(1))
+    // Merge the two ID orders: each joined record's cluster on both sides.
+    val joinedE = new Array[Long](math.min(eIds.length, gIds.length))
+    val joinedG = new Array[Long](joinedE.length)
+    var joined = 0
+    var i = 0; var j = 0
+    while (i < eIds.length && j < gIds.length) {
+      if (eIds(i) < gIds(j)) i += 1
+      else if (eIds(i) > gIds(j)) j += 1
+      else { joinedE(joined) = eClusters(i); joinedG(joined) = gClusters(j); joined += 1; i += 1; j += 1 }
     }
     require(joined == n, s"the clusterings join on $joined records, but n is $n")
-    val ep = expSizes.valuesIterator.map(ConfusionMatrix.pairsOf).sum
-    val gp = goldSizes.valuesIterator.map(ConfusionMatrix.pairsOf).sum
-    val total = ConfusionMatrix.pairsOf(n)
-    ConfusionMatrix(tp, ep - tp, gp - tp, total - ep - gp + tp)
+    ConfusionMatrix.fromClusterings(dense(joinedE, joined), dense(joinedG, joined))
+  }
+
+  /** The IDs of one side's (side, id, cluster) rows, ascending, and their
+    * clusters in the same order.
+    */
+  private def byId(side: String, rows: Array[Row]): (Array[Long], Array[Long]) = {
+    val ids = rows.map(_.getLong(1))
+    java.util.Arrays.sort(ids)
+    var k = 1
+    while (k < ids.length) {
+      require(ids(k) != ids(k - 1), s"record ${ids(k)} appears twice in the $side clustering")
+      k += 1
+    }
+    val clusters = new Array[Long](ids.length)
+    rows.foreach { r =>
+      require(!r.isNullAt(2), s"record ${r.getLong(1)} has a null cluster in the $side clustering")
+      clusters(java.util.Arrays.binarySearch(ids, r.getLong(1))) = r.getLong(2)
+    }
+    (ids, clusters)
+  }
+
+  /** The first `n` cluster IDs relabelled to `0 until` their distinct count. */
+  private def dense(clusters: Array[Long], n: Int): Array[Int] = {
+    val sorted = java.util.Arrays.copyOf(clusters, n)
+    java.util.Arrays.sort(sorted)
+    var distinct = 0
+    var k = 0
+    while (k < n) {
+      if (k == 0 || sorted(k) != sorted(k - 1)) { sorted(distinct) = sorted(k); distinct += 1 }
+      k += 1
+    }
+    Array.tabulate(n)(k => java.util.Arrays.binarySearch(sorted, 0, distinct, clusters(k)))
   }
 
   /** Confusion matrix from explicit pair sets (columns a, b) — used for

@@ -1,10 +1,8 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
-import repro.core.DriverFrames
 import repro.unionfind.UnionFind
 
 /** Connected components over an undirected edge list — the transitive
@@ -14,8 +12,10 @@ import repro.unionfind.UnionFind
   * Match edge sets are small next to records and candidates (about 11.5k
   * admitted edges against 337k candidates on Z2), so the closure runs on
   * the driver: the edges are collected, their endpoint IDs relabelled to a
-  * dense range, and unioned with [[repro.unionfind.UnionFind]]. Only the
-  * join back onto the records runs in Spark.
+  * dense range, and unioned with [[repro.unionfind.UnionFind]]. The
+  * records are labelled in Spark by a narrow projection over a broadcast of
+  * the component minima, so the closure adds no shuffle to a plan that
+  * reads it.
   */
 object ConnectedComponents {
 
@@ -28,8 +28,14 @@ object ConnectedComponents {
 
   /** Full clustering of `records` under the transitive closure of `edges`:
     * records touched by an edge get their component's minimum ID, all other
-    * records are singletons labelled by their own ID. Self-loops and
-    * duplicate edges are harmless; IDs need not be dense.
+    * records are singletons labelled by their own ID, and a null ID gets a
+    * null cluster. Self-loops and duplicate edges are harmless; IDs need not
+    * be dense.
+    *
+    * The sorted endpoint IDs and their minima are broadcast once; each
+    * record's label is one binary search there, in a projection of
+    * `records`, so the result has the partitioning of `records` and no
+    * exchange.
     *
     * @param records DataFrame with a unique long `id` column
     * @param edges   DataFrame with long columns `src`, `dst` (unordered pairs)
@@ -40,10 +46,14 @@ object ConnectedComponents {
   def closure(records: DataFrame, edges: DataFrame): DataFrame = {
     val (src, dst) = collectEdges(edges, maxEdges)
     val (ids, minima) = components(src, dst)
-    val labels = DriverFrames(records.sparkSession, ids.length, labelSchema)(i => Row(ids(i), minima(i)))
-    records.select(col("id"))
-      .join(labels, Seq("id"), "left")
-      .select(col("id"), coalesce(col("ccluster"), col("id")).as("cluster"))
+    val shared = records.sparkSession.sparkContext.broadcast((ids, minima))
+    // A primitive parameter makes Spark return null for a null ID unasked.
+    val label = udf { (id: Long) =>
+      val (ids, minima) = shared.value
+      val i = java.util.Arrays.binarySearch(ids, id)
+      if (i >= 0) minima(i) else id
+    }
+    records.select(col("id"), label(col("id")).as("cluster"))
   }
 
   /** The endpoints of at most `cap` edges, failing loudly on a null
@@ -73,10 +83,6 @@ object ConnectedComponents {
     }
     (src, dst)
   }
-
-  private val labelSchema = StructType(Seq(
-    StructField("id", LongType, nullable = false),
-    StructField("ccluster", LongType, nullable = false)))
 
   /** Pairs in the edges' transitive closure, Σ C(|c|, 2) over their components. */
   private[repro] def closedPairCount(src: Array[Long], dst: Array[Long]): Long = unionAll(src, dst)._2.pairCount

@@ -14,6 +14,21 @@ class ClusteringOpsSpec extends SparkSpec {
     assert(got == Set((1L, 2L), (4L, 5L)))
   }
 
+  test("a pair with a null endpoint fails every pair-set query that reads it, naming the pair") {
+    val pairs = Seq((0L, Option(1L)), (1L, None), (2L, Option(3L))).toDF("a", "b")
+    val gold = Seq((0L, 1L)).toDF("a", "b")
+    val queries = Seq[(String, () => Any)](
+      "canonicalPairs" -> (() => ClusteringOps.canonicalPairs(pairs).collect()),
+      "vennRegions" -> (() => SetComparison.vennRegions(Seq(pairs, gold)).collect()),
+      "consensusDeviation" -> (() => NoGroundTruth.consensusDeviation(Seq(gold, pairs))),
+      "missingClosurePairs" -> (() => NoGroundTruth.missingClosurePairs(pairs)),
+      "confusionMatrixFromPairs" -> (() => MetricsEngine.confusionMatrixFromPairs(pairs, gold, 4)))
+    queries.foreach { case (name, query) =>
+      val e = intercept[Exception](query())
+      assert(e.getMessage.contains("pair (1, null) has a null endpoint"), s"$name: ${e.getMessage}")
+    }
+  }
+
   test("pairsFromClustering enumerates intra-cluster pairs") {
     val c = clustering((0L, 10L), (1L, 10L), (2L, 10L), (3L, 20L), (4L, 20L), (5L, 30L))
     val got = ReferencePairs.pairsFromClustering(c).as[(Long, Long)].collect().toSet
@@ -23,7 +38,7 @@ class ClusteringOpsSpec extends SparkSpec {
   test("intersection joins the two clusterings by record") {
     val exp = clustering((0L, 1L), (1L, 1L), (2L, 2L))
     val gold = clustering((0L, 7L), (1L, 8L), (2L, 7L))
-    val got = ClusteringOps.intersection(exp, gold)
+    val got = ReferenceClusterings.intersection(exp, gold)
       .as[(Long, Long, Long)].collect().toSet
     assert(got == Set((0L, 1L, 7L), (1L, 1L, 8L), (2L, 2L, 7L)))
   }

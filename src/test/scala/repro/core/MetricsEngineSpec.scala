@@ -17,7 +17,7 @@ class MetricsEngineSpec extends SparkSpec {
     * positives, checked against DuckDB below.
     */
   private def intersectionPairContributions(exp: DataFrame, gold: DataFrame): DataFrame =
-    ClusteringOps.intersection(exp, gold)
+    ReferenceClusterings.intersection(exp, gold)
       .groupBy(col("ecluster"), col("gcluster"))
       .agg(expr("count(1) * (count(1) - 1) / 2").cast("long").as("pairs"))
 
@@ -42,6 +42,38 @@ class MetricsEngineSpec extends SparkSpec {
     assert(wrongN.getMessage.contains("join on 5 records, but n is 6"), wrongN.getMessage)
   }
 
+  test("confusionMatrix starts exactly one Spark job") {
+    val exp = spark.range(0, 3000, 1, 4).select(col("id"), (col("id") % 7).as("cluster"))
+    val gold = spark.range(0, 3000, 1, 3).select(col("id"), (col("id") % 5).as("cluster"))
+    val (m, jobs) = jobsOf(MetricsEngine.confusionMatrix(exp, gold, 3000))
+    assert(jobs == 1, s"confusionMatrix started $jobs Spark jobs")
+    assert(m == ConfusionMatrix.fromClusterings(Array.tabulate(3000)(_ % 7), Array.tabulate(3000)(_ % 5)))
+  }
+
+  test("confusionMatrix rejects a record ID twice on either side, naming the ID and the side") {
+    val once = asDf(Array(0, 0, 1))
+    val twice = Seq((0L, 0L), (1L, 0L), (2L, 1L), (1L, 1L)).toDF("id", "cluster")
+    val e = intercept[IllegalArgumentException](MetricsEngine.confusionMatrix(twice, once, 3))
+    assert(e.getMessage.contains("record 1 appears twice in the experiment clustering"), e.getMessage)
+    val g = intercept[IllegalArgumentException](MetricsEngine.confusionMatrix(once, twice, 3))
+    assert(g.getMessage.contains("record 1 appears twice in the gold clustering"), g.getMessage)
+  }
+
+  test("confusionMatrix rejects a null cluster on either side, naming the ID and the side") {
+    val full = asDf(Array(0, 0, 1))
+    val holed = Seq((0L, Option(0L)), (1L, Option(0L)), (2L, None)).toDF("id", "cluster")
+    val e = intercept[IllegalArgumentException](MetricsEngine.confusionMatrix(holed, full, 3))
+    assert(e.getMessage.contains("record 2 has a null cluster in the experiment clustering"), e.getMessage)
+    val g = intercept[IllegalArgumentException](MetricsEngine.confusionMatrix(full, holed, 3))
+    assert(g.getMessage.contains("record 2 has a null cluster in the gold clustering"), g.getMessage)
+  }
+
+  test("confusionMatrix joins no record with a null ID") {
+    val exp = Seq((Option(0L), 0L), (Option(1L), 0L), (None, 0L), (Option(2L), 1L)).toDF("id", "cluster")
+    val gold = Seq((Option(0L), 5L), (None, 5L), (Option(1L), 6L), (Option(2L), 6L)).toDF("id", "cluster")
+    assert(MetricsEngine.confusionMatrix(exp, gold, 3) == ConfusionMatrix.fromClusterings(Array(0, 0, 1), Array(5, 6, 6)))
+  }
+
   test("confusionMatrix on Figure 10 final state") {
     val exp = Array(0, 0, 0, 0)
     val gold = Array(0, 0, 1, 1)
@@ -54,8 +86,9 @@ class MetricsEngineSpec extends SparkSpec {
       val n = 40
       val exp = Array.fill(n)(rnd.nextInt(9))
       val gold = Array.fill(n)(rnd.nextInt(9))
-      assert(MetricsEngine.confusionMatrix(asDf(exp), asDf(gold), n.toLong) ==
-        ConfusionMatrix.fromClusterings(exp, gold))
+      val want = ConfusionMatrix.fromClusterings(exp, gold)
+      assert(MetricsEngine.confusionMatrix(asDf(exp), asDf(gold), n.toLong) == want)
+      assert(ReferenceClusterings.confusionMatrix(asDf(exp), asDf(gold), n.toLong) == want)
     }
   }
 

@@ -1,8 +1,16 @@
 package repro.graph
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+
 import repro.SparkSpec
-import repro.core.ReferencePairs
+import repro.core.{ConfusionMatrix, MetricsEngine, ReferenceClusterings, ReferencePairs}
+import repro.unionfind.UnionFind
 
 class ConnectedComponentsSpec extends SparkSpec {
   import spark.implicits._
@@ -105,6 +113,50 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(bytes.max < 16 * 1024, s"partition sizes ${bytes.mkString(", ")} bytes")
   }
 
+  test("a record with a null ID gets a null cluster") {
+    val recs = Seq(Option(1L), None, Option(2L), Option(4L)).toDF("id")
+    val got = ConnectedComponents.closure(recs, edgesDf((2L, 1L))).collect()
+      .map(r => (Option(r.get(0)), Option(r.get(1)))).toSet
+    assert(got == Set((Some(1L), Some(1L)), (None, None), (Some(2L), Some(1L)), (Some(4L), Some(4L))))
+  }
+
+  test("the closure's executed plan has no exchange of its own") {
+    def exchanges(recs: org.apache.spark.sql.DataFrame): Int = {
+      val closed = ConnectedComponents.closure(recs, edgesDf((1L, 2L), (2L, 50L)))
+      closed.collect()
+      new AdaptiveSparkPlanHelper {}.collect(closed.queryExecution.executedPlan) { case e: Exchange => e }.size
+    }
+    assert(exchanges(records(100)) == 0)
+    assert(exchanges(records(100).repartition(4)) == 1)
+  }
+
+  test("closure plus confusionMatrix over a cached 4-partition edge frame start at most 2 Spark jobs") {
+    val n = 2000
+    val edges = spark.range(0, n, 1, 4).select(col("id").as("src"), (col("id") - col("id") % 3).as("dst")).cache()
+    edges.count()
+    val gold = spark.range(0, n, 1, 4).select(col("id"), (col("id") % 11).as("cluster"))
+    val (m, jobs) = jobsOf(MetricsEngine.confusionMatrix(ConnectedComponents.closure(records(n), edges), gold, n))
+    assert(jobs <= 2, s"closure plus confusionMatrix started $jobs Spark jobs")
+    assert(m == ConfusionMatrix.fromClusterings(Array.tabulate(n)(i => i / 3), Array.tabulate(n)(_ % 11)))
+    edges.unpersist()
+  }
+
+  test("confusionMatrix of the closure equals union-find and the join reference on random graphs (property)") {
+    import ConnectedComponentsSpec.ClosureCase
+    val sc = spark.sparkContext
+    val prop = Prop.forAllNoShrink(ConnectedComponentsSpec.closureCase) { case ClosureCase(ids, labels, edges, parts) =>
+      val recs = sc.parallelize(ids, parts).toDF("id")
+      val gold = sc.parallelize(ids.zip(labels), parts).toDF("id", "cluster")
+      val closed = ConnectedComponents.closure(recs, sc.parallelize(edges, parts).toDF("src", "dst"))
+      val got = MetricsEngine.confusionMatrix(closed, gold, ids.size.toLong)
+      val reference = ReferenceClusterings.confusionMatrix(closed, gold, ids.size.toLong)
+      val driver = ConnectedComponentsSpec.unionFindMatrix(ids, labels, edges)
+      (got == driver && got == reference) :| s"confusionMatrix $got, union-find $driver, join reference $reference"
+    }
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(Seed(23L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
   test("an edge with a null endpoint fails, naming the edge") {
     val edges = Seq((0L, Option(1L)), (2L, None)).toDF("src", "dst").coalesce(1)
     val e = intercept[IllegalArgumentException](ConnectedComponents.closure(records(3), edges))
@@ -163,5 +215,44 @@ class ConnectedComponentsSpec extends SparkSpec {
     for (i <- 0 until n; j <- (i + 1) until n) {
       assert((spark_(i) == spark_(j)) == uf.sameCluster(i, j), s"disagreement on ($i,$j)")
     }
+  }
+}
+
+object ConnectedComponentsSpec {
+
+  /** Records `ids` with gold `labels`, an edge list and a partition count. */
+  final case class ClosureCase(ids: Seq[Long], labels: Seq[Long], edges: Seq[(Long, Long)], parts: Int)
+
+  /** Sparse, negative and above-2^40 record IDs and gold labels; edges with
+    * self-loops, duplicates in both orientations and endpoints that are not
+    * records; one edge list in eight is empty; 1 to 7 partitions.
+    */
+  val closureCase: Gen[ClosureCase] = {
+    val id = Gen.frequency(
+      4 -> Gen.choose(-60L, 60L),
+      2 -> Gen.choose(1L << 40, (1L << 40) + 30),
+      1 -> Gen.oneOf(Long.MinValue, Long.MaxValue, -(1L << 41), (1L << 41) + 5))
+    for {
+      ids <- Gen.choose(1, 40).flatMap(Gen.listOfN(_, id)).map(_.distinct)
+      pool <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, id))
+      labels <- Gen.listOfN(ids.size, Gen.oneOf(pool))
+      end = Gen.frequency(6 -> Gen.oneOf(ids), 1 -> id)
+      edge = Gen.frequency(6 -> Gen.zip(end, end), 1 -> end.map(v => (v, v)))
+      drawn <- Gen.frequency(1 -> Gen.const(Nil), 7 -> Gen.choose(1, 30).flatMap(Gen.listOfN(_, edge)))
+      again <- Gen.someOf(drawn)
+      flipped <- Gen.someOf(drawn)
+      parts <- Gen.choose(1, 7)
+    } yield ClosureCase(ids, labels, drawn ++ again ++ flipped.map(_.swap), parts)
+  }
+
+  /** The matrix of the union-find closure over every record and endpoint
+    * against the gold labels, counted by `ConfusionMatrix.fromClusterings`.
+    */
+  def unionFindMatrix(ids: Seq[Long], labels: Seq[Long], edges: Seq[(Long, Long)]): ConfusionMatrix = {
+    val index = (ids ++ edges.flatMap { case (a, b) => Seq(a, b) }).distinct.zipWithIndex.toMap
+    val uf = new UnionFind(index.size)
+    edges.foreach { case (a, b) => uf.union(index(a), index(b)) }
+    val label = labels.distinct.zipWithIndex.toMap
+    ConfusionMatrix.fromClusterings(ids.map(i => uf.find(index(i))).toArray, labels.map(label).toArray)
   }
 }
