@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.Tasks.inTasks
 import repro.unionfind.{DynamicIntersection, UnionFind}
 
 /** A match proposed by a matching solution: two record indices and the
@@ -87,13 +88,6 @@ object MetricDiagram {
     val cores = Runtime.getRuntime.availableProcessors
     math.max(1, math.min(cores, ((m + ChunkMatches - 1L) / ChunkMatches).toInt))
   }
-
-  /** Runs `body` on each task `0 until tasks`: on the common fork-join pool
-    * if `parallel`, else (and for a single task) on the calling thread.
-    */
-  private def inTasks(tasks: Int, parallel: Boolean)(body: Int => Unit): Unit =
-    if (parallel && tasks > 1) java.util.stream.IntStream.range(0, tasks).parallel().forEach(t => body(t))
-    else { var t = 0; while (t < tasks) { body(t); t += 1 } }
 
   /** The start of each of `chunks` contiguous ranges of `[from, until)`, and
     * `until` last.

@@ -19,8 +19,9 @@ object Profiling {
   }
 
   /** Textuality (TX): average number of whitespace-separated words per
-    * attribute value that has any (Primpeli & Bizer). Null, empty and
-    * whitespace-only values have no words and are left out.
+    * attribute value that has any (Primpeli & Bizer), words as
+    * [[Similarity.wordCount]] counts them. Null, empty and whitespace-only
+    * values have no words and are left out.
     */
   def textuality(records: DataFrame, attrs: Seq[String]): Double = {
     require(attrs.nonEmpty, "need at least one attribute")
@@ -33,15 +34,24 @@ object Profiling {
   /** Positive ratio (PR): true duplicate pairs over all record pairs.
     * Computed from the gold clustering: Σ_c C(|c|,2) / C(n,2), n = Σ_c |c|.
     *
-    * One Spark job: the size of each cluster (a null ID is one cluster), at
-    * most one per record, is counted over the RDD, whose shuffle is a stage
-    * of the same job, and summed on the driver. A DataFrame `groupBy` would
-    * run its exchange as a job of its own under adaptive execution.
+    * One Spark job of one stage: each task counts the size of each of its
+    * clusters in a hash map (a null ID is one cluster), and the driver
+    * merges the maps and sums. A shuffle, such as `reduceByKey`'s or a
+    * DataFrame `groupBy`'s, would add a stage (under adaptive execution, a
+    * job).
     */
   def positiveRatio(gold: DataFrame): Double = {
-    val sizes = gold.select(col("cluster")).rdd.map(r => (r.get(0), 1L)).reduceByKey(_ + _).values.collect()
-    val total = ConfusionMatrix.pairsOf(sizes.sum)
-    if (total == 0) 0.0 else sizes.map(ConfusionMatrix.pairsOf).sum.toDouble / total
+    val perTask = gold.select(col("cluster")).rdd.mapPartitions { rows =>
+      val sizes = new java.util.HashMap[Any, Array[Long]]
+      rows.foreach(r => sizes.computeIfAbsent(r.get(0), _ => new Array[Long](1))(0) += 1)
+      Iterator(sizes)
+    }.collect()
+    val sizes = new java.util.HashMap[Any, Array[Long]]
+    perTask.foreach(_.forEach((c, k) => sizes.merge(c, k, (a, b) => { a(0) += b(0); a })))
+    var all = 0L; var pairs = 0L
+    sizes.values.forEach { k => all += k(0); pairs += ConfusionMatrix.pairsOf(k(0)) }
+    val total = ConfusionMatrix.pairsOf(all)
+    if (total == 0) 0.0 else pairs.toDouble / total
   }
 
   /** What SP, TX and TC are read from: the row count, and over all
@@ -53,25 +63,26 @@ object Profiling {
     def textuality: Double = if (worded == 0) 0.0 else words.toDouble / worded
   }
 
-  /** One Spark job over the records. A projection gives each value's word
-    * count, or -1 for null; each task sums its rows into the four counts and
-    * the driver sums the tasks. The sums run over the RDD because a
-    * DataFrame `agg` would run its exchange as a job of its own under
-    * adaptive execution.
+  /** One Spark job of one stage over the records: each task sums its rows
+    * into the four counts, counting each value's words with
+    * [[Similarity.wordCount]], and the driver sums the tasks. The sums run
+    * over the RDD because a DataFrame `agg` would run its exchange as a job
+    * of its own under adaptive execution.
     */
   private def recordStats(records: DataFrame, attrs: Seq[String]): RecordStats = {
-    val words = records.select(attrs.map { a =>
-      when(col(a).isNull, -1).otherwise(size(array_remove(split(col(a).cast("string"), "\\s+"), "")))
-    }: _*)
+    val values = records.select(attrs.map(a => col(a).cast("string")): _*)
     val k = attrs.size
-    val perTask = words.rdd.mapPartitions { rows =>
+    val perTask = values.rdd.mapPartitions { rows =>
       val t = new Array[Long](4) // rows, nulls, words, values with words
       rows.foreach { r =>
         t(0) += 1
         var i = 0
         while (i < k) {
-          val w = r.getInt(i)
-          if (w < 0) t(1) += 1 else if (w > 0) { t(2) += w; t(3) += 1 }
+          if (r.isNullAt(i)) t(1) += 1
+          else {
+            val w = Similarity.wordCount(r.getString(i))
+            if (w > 0) { t(2) += w; t(3) += 1 }
+          }
           i += 1
         }
       }
@@ -112,8 +123,8 @@ object Profiling {
   /** Full profile row for a dataset (SP, TX, TC, PR) — Table 2 machinery. */
   final case class Profile(sparsity: Double, textuality: Double, tupleCount: Long, positiveRatio: Double)
 
-  /** All four metrics from two Spark jobs: one aggregation over the
-    * records and one over the gold cluster sizes.
+  /** All four metrics from two Spark jobs of one stage each: one pass
+    * over the records and one over the gold cluster sizes.
     */
   def profile(records: DataFrame, gold: DataFrame, attrs: Seq[String]): Profile = {
     require(attrs.nonEmpty, "need at least one attribute")

@@ -1,6 +1,9 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
+import scala.collection.mutable.ArrayBuilder
+
+import org.apache.spark.SparkException
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.unionfind.UnionFind
@@ -20,9 +23,10 @@ import repro.unionfind.UnionFind
 object ConnectedComponents {
 
   /** Most edges one closure collects to the driver. A collected edge costs
-    * roughly 100 bytes there while it is read, so the cap bounds that at
-    * about 500 MB; a larger match set fails after at most `maxEdges + 1`
-    * of its edges are collected.
+    * 16 bytes there, and the driver holds at most about `2 * maxEdges + 1`
+    * of them at once (the edges kept so far and one task's packed edges),
+    * so the cap bounds that at about 160 MB; a larger match set fails after
+    * each task has packed at most `maxEdges + 1` of its edges.
     */
   val maxEdges: Int = 5000000
 
@@ -56,32 +60,79 @@ object ConnectedComponents {
     records.select(col("id"), label(col("id")).as("cluster"))
   }
 
-  /** The endpoints of at most `cap` edges, failing loudly on a null
-    * endpoint (naming the edge's index) or on more than `cap` edges.
+  /** The endpoints of at most `cap` edges, in partition order, failing
+    * loudly on more than `cap` edges or on a null endpoint (naming the
+    * edge's index in partition order).
     *
-    * One Spark job: each task keeps at most `cap + 1` edges, one exchange
-    * gathers them into a single partition, and that partition keeps `cap + 1`
-    * again, so the driver never receives more. (`limit(cap + 1).collect()`
-    * scans the partitions in growing jobs instead, and a DataFrame exchange
-    * would be a job of its own under adaptive execution.)
+    * One Spark job of one stage: each task packs at most `cap + 1` of its
+    * edges into two arrays and notes its first edge with a null endpoint.
+    * The driver keeps the tasks' arrays only while their running total is
+    * at most `cap`, so it never holds more than `cap` edges besides the one
+    * task result it is reading. Task results so large together that Spark
+    * aborts the job at `spark.driver.maxResultSize` fail with the cap
+    * message too when there are more than `cap` edges.
+    * (`limit(cap + 1).collect()` scans the partitions in growing jobs
+    * instead, and an exchange into one partition would add a stage.)
     */
   private[repro] def collectEdges(edges: DataFrame, cap: Int): (Array[Long], Array[Long]) = {
     val ends = edges.select(col("src").cast("long"), col("dst").cast("long"))
-    val rows = ends.rdd.mapPartitions(_.take(cap + 1)).repartition(1).mapPartitions(_.take(cap + 1)).collect()
-    if (rows.length > cap)
-      throw new IllegalArgumentException(
-        s"closure over ${ends.count()} edges exceeds the driver cap of $cap edges")
-    val src = new Array[Long](rows.length)
-    val dst = new Array[Long](rows.length)
+    def tooMany = new IllegalArgumentException(
+      s"closure over ${ends.count()} edges exceeds the driver cap of $cap edges")
+    val rdd = ends.rdd
+    val batches = new Array[EdgeBatch](rdd.getNumPartitions)
+    var received = 0L
+    try rdd.sparkContext.runJob(rdd, (rows: Iterator[Row]) => EdgeBatch.of(rows, cap), (p: Int, b: EdgeBatch) => {
+      received += b.size
+      if (received <= cap) batches(p) = b else batches.mapInPlace(_ => null)
+    })
+    catch {
+      case e: SparkException if overResultSize(e) && ends.count() > cap => throw tooMany
+    }
+    if (received > cap) throw tooMany
+    val src = new Array[Long](received.toInt)
+    val dst = new Array[Long](received.toInt)
     var k = 0
-    while (k < rows.length) {
-      val r = rows(k)
-      if (r.isNullAt(0) || r.isNullAt(1))
-        throw new IllegalArgumentException(s"edge $k has a null endpoint: (${r.get(0)}, ${r.get(1)})")
-      src(k) = r.getLong(0); dst(k) = r.getLong(1)
-      k += 1
+    batches.foreach { b =>
+      if (b.firstNull >= 0) throw new IllegalArgumentException(s"edge ${k + b.firstNull} has a null endpoint: ${b.nullEdge}")
+      System.arraycopy(b.src, 0, src, k, b.size)
+      System.arraycopy(b.dst, 0, dst, k, b.size)
+      k += b.size
     }
     (src, dst)
+  }
+
+  /** Whether Spark aborted a job because its task results together passed
+    * `spark.driver.maxResultSize`.
+    */
+  private def overResultSize(e: Throwable): Boolean =
+    e != null && (String.valueOf(e.getMessage).contains("spark.driver.maxResultSize") || overResultSize(e.getCause))
+
+  /** One task's edges, at most `cap + 1` of them in its order, and the
+    * position of its first edge with a null endpoint (-1 if none) and how
+    * that edge prints. A null endpoint is packed as 0.
+    */
+  private final class EdgeBatch(val src: Array[Long], val dst: Array[Long], val firstNull: Int, val nullEdge: String)
+      extends Serializable {
+    def size: Int = src.length
+  }
+
+  private object EdgeBatch {
+    def of(rows: Iterator[Row], cap: Int): EdgeBatch = {
+      val src = new ArrayBuilder.ofLong
+      val dst = new ArrayBuilder.ofLong
+      var firstNull = -1
+      var nullEdge: String = null
+      var k = 0
+      while (k <= cap && rows.hasNext) {
+        val r = rows.next()
+        if (r.isNullAt(0) || r.isNullAt(1)) {
+          if (firstNull < 0) { firstNull = k; nullEdge = s"(${r.get(0)}, ${r.get(1)})" }
+          src += 0L; dst += 0L
+        } else { src += r.getLong(0); dst += r.getLong(1) }
+        k += 1
+      }
+      new EdgeBatch(src.result(), dst.result(), firstNull, nullEdge)
+    }
   }
 
   /** Pairs in the edges' transitive closure, Σ C(|c|, 2) over their components. */

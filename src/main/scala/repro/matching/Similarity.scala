@@ -15,21 +15,35 @@ object Similarity {
   }
 
   /** Calls `f` on each token of `s`, in order and repeats included: the
-    * maximal runs of `s.toLowerCase` free of the characters a Java regex's
-    * `\s` matches (space, tab, line feed, vertical tab, form feed and
-    * carriage return). Nothing for null.
+    * words of `s.toLowerCase` ([[foreachWord]]). Nothing for null.
     */
   private[matching] def foreachToken(s: String)(f: String => Unit): Unit =
     if (s != null) {
       val l = s.toLowerCase
-      var i = 0
-      while (i < l.length) {
-        while (i < l.length && isSpace(l.charAt(i))) i += 1
-        val start = i
-        while (i < l.length && !isSpace(l.charAt(i))) i += 1
-        if (i > start) f(l.substring(start, i))
-      }
+      foreachWord(l)((from, until) => f(l.substring(from, until)))
     }
+
+  /** The number of words of `s`, 0 for null: what splitting `s` on the regex
+    * `\s+` leaves once empty strings are dropped. Lower-casing maps no
+    * character to or from a word break, so this is also the number of
+    * [[foreachToken]] calls, repeats included.
+    */
+  private[repro] def wordCount(s: String): Int =
+    if (s == null) 0 else { var n = 0; foreachWord(s)((_, _) => n += 1); n }
+
+  /** Calls `f(from, until)` on each word of `s`, in order: each maximal run
+    * free of the characters a Java regex's `\s` matches (space, tab, line
+    * feed, vertical tab, form feed and carriage return).
+    */
+  private def foreachWord(s: String)(f: (Int, Int) => Unit): Unit = {
+    var i = 0
+    while (i < s.length) {
+      while (i < s.length && isSpace(s.charAt(i))) i += 1
+      val start = i
+      while (i < s.length && !isSpace(s.charAt(i))) i += 1
+      if (i > start) f(start, i)
+    }
+  }
 
   private def isSpace(c: Char): Boolean =
     c == ' ' || c == '\t' || c == '\n' || c == '\u000B' || c == '\f' || c == '\r'
@@ -74,8 +88,11 @@ object Similarity {
     * Equal to the plain token Jaccard when every shared token is known, and
     * degrading gracefully with the out-of-vocabulary fraction — the
     * mechanism behind train/test gaps on low-vocabulary-similarity splits
-    * (Frost, Appendix C.2). One sorted merge: shared IDs count once, shared
-    * known (>= 0) IDs once more; 0.0 when either set is empty.
+    * (Frost, Appendix C.2). One sorted merge with no data-dependent
+    * branch: each step compares the heads as longs, whose sign bits give
+    * `lt` and `gt`, advances the side or sides not greater, and counts an
+    * equal pair once, and once more when its ID is known (sign bit clear).
+    * 0.0 when either set is empty.
     */
   private[matching] def knownJaccard(x: Array[Int], y: Array[Int]): Double =
     if (x.length == 0 || y.length == 0) 0.0
@@ -83,9 +100,13 @@ object Similarity {
       var i = 0; var j = 0; var inter = 0; var knownInter = 0
       while (i < x.length && j < y.length) {
         val u = x(i); val v = y(j)
-        if (u < v) i += 1
-        else if (v < u) j += 1
-        else { inter += 1; if (u >= 0) knownInter += 1; i += 1; j += 1 }
+        val lt = ((u.toLong - v.toLong) >>> 63).toInt
+        val gt = ((v.toLong - u.toLong) >>> 63).toInt
+        val eq = 1 - lt - gt
+        inter += eq
+        knownInter += eq & (~u >>> 31)
+        i += 1 - gt
+        j += 1 - lt
       }
       (inter + knownInter) / (2.0 * (x.length + y.length - inter))
     }

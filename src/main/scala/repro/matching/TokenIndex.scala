@@ -6,7 +6,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.StructType
 
-import repro.core.DriverFrames
+import repro.core.{DriverFrames, Tasks}
 
 /** Records encoded once, for blocking and scoring (Frost pipeline steps 2
   * and 3, Section 1.2), built on the driver and broadcast once.
@@ -105,7 +105,7 @@ private[matching] object TokenIndex {
     * Each task tokenizes each value of its records once, numbering its
     * tokens locally ([[Part]]); the driver merges the tasks' sorted tokens
     * into the dataset's [[Similarity.TokenDictionary]] and maps every
-    * task's local IDs to the dictionary's.
+    * task's local IDs to the dictionary's, one part per core.
     *
     * @throws IllegalArgumentException naming the ID, if an ID is null or
     *         appears more than once
@@ -131,14 +131,16 @@ private[matching] object TokenIndex {
     val keys = dict.blockingKeys
 
     // Per record in task order: its ID and, per attribute, its sorted token
-    // IDs (null for a null value).
-    val n = parts.map(_.ids.length).sum
+    // IDs (null for a null value). Each part fills its own range of records,
+    // one part per task on the common pool.
+    val starts = parts.scanLeft(0)(_ + _.ids.length)
+    val n = starts.last
     val taskIds = new Array[Long](n)
     val values = Array.ofDim[Array[Int]](width, n)
-    var i = 0
-    parts.zip(ranks).foreach { case (part, rank) =>
-      val toId = rank.map(dict.ids(_))
-      var v = 0; var f = 0
+    Tasks.inTasks(parts.length, parallel = true) { p =>
+      val part = parts(p)
+      val toId = ranks(p).map(dict.ids(_))
+      var i = starts(p); var v = 0; var f = 0
       part.ids.foreach { id =>
         taskIds(i) = id
         var k = 0
@@ -160,7 +162,7 @@ private[matching] object TokenIndex {
 
     val order = Array.range(0, n).sortBy(taskIds(_))
     val ids = order.map(taskIds(_))
-    i = 1
+    var i = 1
     while (i < ids.length) {
       require(ids(i) != ids(i - 1), s"record id ${ids(i)} appears more than once")
       i += 1

@@ -50,7 +50,7 @@ object Table2 {
   }
 
   /** Labeled pairs with `label` true over all labeled pairs, from one count
-    * per label value: one Spark job, as [[Profiling]] counts its clusters.
+    * per label value: one Spark job (`countByValue`).
     */
   private def positiveRatioOverLabeled(d: EmGen.EmDataset): Double = {
     val byLabel = d.labeledPairs.select("label").rdd.map(_.get(0)).countByValue()

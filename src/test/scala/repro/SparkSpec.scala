@@ -20,7 +20,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   override def afterAll(): Unit = { super.afterAll() }
 
   /** The result of `body` and the number of Spark jobs it started. */
-  def jobsOf[T](body: => T): (T, Int) = org.apache.spark.JobCounter(spark.sparkContext)(body)
+  def jobsOf[T](body: => T): (T, Int) = { val (r, jobs, _) = org.apache.spark.JobCounter(spark.sparkContext)(body); (r, jobs) }
+
+  /** The result of `body` and the number of Spark stages its jobs submitted. */
+  def stagesOf[T](body: => T): (T, Int) = { val (r, _, stages) = org.apache.spark.JobCounter(spark.sparkContext)(body); (r, stages) }
 
   /** Closure-serialized size in bytes of every partition in the RDD lineage
     * of `df`: what each task computing it carries besides its stage's binary.

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{col, concat, lit, when}
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
@@ -87,13 +88,29 @@ class ProfilingSpec extends SparkSpec {
       val single = Profiling.Profile(Profiling.sparsity(recs, attrs), Profiling.textuality(recs, attrs),
         Profiling.tupleCount(recs), Profiling.positiveRatio(gold))
       val want = ProfilingSpec.reference(rows, attrs, goldRows)
+      val regex = ReferenceProfiling.profile(recs, gold, attrs)
       (p == single) :| s"profile $p, single-metric functions $single" &&
         (p == want) :| s"profile $p, driver reference $want" &&
+        ProfilingSpec.sameBits(p, regex) :| s"profile $p, regex and shuffle reference $regex" &&
         (jobs <= 2) :| s"profile started $jobs Spark jobs"
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(25).withInitialSeed(Seed(29L)), prop)
     assert(result.passed, Pretty.pretty(result))
+  }
+
+  test("the profile runs 2 Spark jobs of one stage each, positiveRatio one stage") {
+    val recs = spark.range(0, 400, 1, 8).select(col("id"),
+      when(col("id") % 5 === 0, lit(null)).otherwise(concat(lit("w "), col("id").cast("string"), lit("\tx"))).as("v"))
+    val gold = spark.range(0, 400, 1, 8).select(col("id"),
+      when(col("id") % 7 === 0, lit(null)).otherwise(col("id") / 3).cast("long").as("cluster"))
+    val want = ReferenceProfiling.profile(recs, gold, Seq("v"))
+    val (p, jobs, stages) = org.apache.spark.JobCounter(spark.sparkContext)(Profiling.profile(recs, gold, Seq("v")))
+    assert(ProfilingSpec.sameBits(p, want), s"profile $p, reference $want")
+    assert(jobs == 2 && stages == 2, s"profile started $jobs Spark jobs and $stages stages")
+    val (ratio, ratioStages) = stagesOf(Profiling.positiveRatio(gold))
+    assert(ratio == want.positiveRatio)
+    assert(ratioStages == 1, s"positiveRatio submitted $ratioStages stages")
   }
 
   test("oracle: null counts per attribute match DuckDB") {
@@ -127,19 +144,30 @@ object ProfilingSpec {
 
   final case class Case(rows: Seq[(Long, String, String)], attrs: Seq[String], gold: Seq[(Long, Option[Long])])
 
-  /** Values as the similarity tests make them (null, empty, whitespace only,
-    * tabs, newlines, runs of spaces, leading and trailing whitespace); gold
-    * cluster IDs that are sparse, negative, extreme or null; empty inputs.
+  /** Values as the similarity tests make them: null, empty, whitespace
+    * only, tabs, newlines, runs of spaces, leading and trailing whitespace,
+    * and tokens that change under lower-casing or leave the BMP joined by
+    * every character Java's regex `\s` matches and by separators it does
+    * not match. Gold cluster IDs that are sparse, negative, extreme or
+    * null; empty inputs.
     */
   val profileCase: Gen[Case] = for {
     n <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 12))
-    v1 <- Gen.listOfN(n, SimilaritySpec.messyString)
-    v2 <- Gen.listOfN(n, SimilaritySpec.messyString)
+    value = Gen.oneOf(SimilaritySpec.messyString, SimilaritySpec.unicodeString)
+    v1 <- Gen.listOfN(n, value)
+    v2 <- Gen.listOfN(n, value)
     attrs <- Gen.oneOf(Seq("v1"), Seq("v2"), Seq("v1", "v2"))
     g <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 15))
     clusters <- Gen.listOfN(g, Gen.option(Gen.oneOf(-7L, -1L, 0L, 3L, 1L << 40, Long.MinValue)))
   } yield Case(v1.zip(v2).zipWithIndex.map { case ((a, b), i) => (i.toLong, a, b) }, attrs,
     clusters.zipWithIndex.map { case (c, i) => (i.toLong, c) })
+
+  /** Whether two profiles are equal bit for bit. */
+  def sameBits(p: Profiling.Profile, q: Profiling.Profile): Boolean = {
+    def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+    bits(p.sparsity) == bits(q.sparsity) && bits(p.textuality) == bits(q.textuality) &&
+      p.tupleCount == q.tupleCount && bits(p.positiveRatio) == bits(q.positiveRatio)
+  }
 
   /** The four metrics computed on the driver from their definitions. */
   def reference(rows: Seq[(Long, String, String)], attrs: Seq[String], gold: Seq[(Long, Option[Long])]): Profiling.Profile = {

@@ -184,6 +184,62 @@ class ConnectedComponentsSpec extends SparkSpec {
     sims.unpersist()
   }
 
+  test("a null endpoint in partition 5 of 8 is named by its index across the partitions in order") {
+    // Ten edges per partition; partitions 5 and 7 each hold one null endpoint.
+    val edges = spark.range(0, 80, 1, 8).select(col("id").as("src"),
+      when(col("id") === 53 || col("id") === 71, lit(null)).otherwise(col("id") + 1).as("dst"))
+    val e = intercept[IllegalArgumentException](ConnectedComponents.collectEdges(edges, 1000))
+    assert(e.getMessage == "edge 53 has a null endpoint: (53, null)", e.getMessage)
+  }
+
+  test("closure over a cached 8-partition edge frame runs one Spark job of one stage") {
+    val edges = spark.range(0, 800, 1, 8).select(col("id").as("src"), (col("id") / 2).cast("long").as("dst")).cache()
+    edges.count()
+    val (clustering, jobs, stages) = org.apache.spark.JobCounter(spark.sparkContext)(ConnectedComponents.closure(records(800), edges))
+    assert(jobs == 1 && stages == 1, s"closure started $jobs Spark jobs and $stages stages")
+    assert(clustersOf(clustering)(799) == 0L)
+    edges.unpersist()
+  }
+
+  test("edges over the cap whose task results pass spark.driver.maxResultSize fail with the cap message") {
+    val edges = spark.range(0, 4000, 1, 8).select(col("id").as("src"), (col("id") + 1).as("dst")).cache()
+    edges.count()
+    // Eight results of 500 packed edges (8,000 bytes each) pass 20,000 bytes.
+    org.apache.spark.ResultSizeLimit(spark.sparkContext, 20000) {
+      val e = intercept[IllegalArgumentException](ConnectedComponents.collectEdges(edges, 600))
+      assert(e.getMessage.contains("4000 edges") && e.getMessage.contains("cap of 600 edges"), e.getMessage)
+      // Under the cap, Spark's own abort stands.
+      val abort = intercept[org.apache.spark.SparkException](ConnectedComponents.collectEdges(edges, 4000))
+      assert(abort.getMessage.contains("spark.driver.maxResultSize"), abort.getMessage)
+    }
+    assert(ConnectedComponents.collectEdges(edges, 4000)._1.length == 4000)
+    edges.unpersist()
+  }
+
+  test("collectEdges keeps the edges, the cap and the null check of the exchange reference (property)") {
+    val sc = spark.sparkContext
+    val edge = Gen.zip(Gen.choose(-5L, 40L), Gen.frequency(12 -> Gen.choose(-5L, 40L).map(Option(_)), 1 -> Gen.const(None)))
+    val gen = for {
+      edges <- Gen.choose(0, 60).flatMap(Gen.listOfN(_, edge))
+      parts <- Gen.choose(1, 8)
+      cap <- Gen.choose(0, 70)
+    } yield (edges, parts, cap)
+    val prop = Prop.forAllNoShrink(gen) { case (edges, parts, cap) =>
+      val df = sc.parallelize(edges, parts).toDF("src", "dst")
+      def attempt(f: => (Array[Long], Array[Long])): Either[String, Seq[(Long, Long)]] =
+        try Right({ val (a, b) = f; a.toSeq.zip(b.toSeq).sorted })
+        catch {
+          // The two name a null endpoint's edge by different orders.
+          case e: IllegalArgumentException => Left(if (e.getMessage.contains("has a null endpoint")) "null endpoint" else e.getMessage)
+        }
+      val got = attempt(ConnectedComponents.collectEdges(df, cap))
+      val want = attempt(ReferenceConnectedComponents.collectEdges(df, cap))
+      (got == want) :| s"collectEdges $got, reference $want"
+    }
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(31L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
   private def closedPairs(edges: (Long, Long)*): Long =
     ConnectedComponents.closedPairCount(edges.map(_._1).toArray, edges.map(_._2).toArray)
 

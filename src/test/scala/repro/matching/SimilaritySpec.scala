@@ -92,6 +92,18 @@ class SimilaritySpec extends AnyFunSuite {
     assert(result.passed, Pretty.pretty(result))
   }
 
+  test("knownJaccard's branch-free merge equals the branching merge bit for bit (property)") {
+    val prop = Prop.forAll(SimilaritySpec.idSetPair) { case (x, y) =>
+      val got = Similarity.knownJaccard(x, y)
+      val want = ReferenceSimilarity.knownJaccard(x, y)
+      (java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
+        s"x ${x.mkString(",")} y ${y.mkString(",")}: got $got want $want"
+    }
+    val result = Check.check(
+      Check.Parameters.default.withMinSuccessfulTests(3000).withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
   test("tokens splits like the regex definition, on Java's whitespace only (property)") {
     val prop = Prop.forAll(SimilaritySpec.unicodeString) { s =>
       val scanned = Seq.newBuilder[String]
@@ -132,6 +144,29 @@ object SimilaritySpec {
       lead <- Gen.oneOf(Gen.const(""), space)
       trail <- Gen.oneOf(Gen.const(""), space)
     } yield lead + toks.zipAll(seps, "", "").map { case (t, s) => t + s }.mkString + trail),
+  )
+
+  /** A sorted array of distinct token IDs: empty, or drawn from a small
+    * range around 0 (so that two sets often share IDs) and from the
+    * extremes `Int.MinValue`, `Int.MaxValue` and their neighbours.
+    */
+  private val idSet: Gen[Array[Int]] = {
+    val id = Gen.frequency(
+      6 -> Gen.choose(-8, 8),
+      1 -> Gen.oneOf(Int.MinValue, Int.MinValue + 1, Int.MaxValue - 1, Int.MaxValue),
+      1 -> Gen.choose(Int.MinValue, Int.MaxValue))
+    Gen.frequency(1 -> Gen.const(List.empty[Int]), 8 -> Gen.choose(1, 12).flatMap(Gen.listOfN(_, id)))
+      .map(_.toArray.distinct.sorted)
+  }
+
+  /** Two ID sets: independent, equal, or disjoint (one set split in two). */
+  private val idSetPair: Gen[(Array[Int], Array[Int])] = Gen.frequency(
+    4 -> Gen.zip(idSet, idSet),
+    1 -> idSet.map(x => (x, x.clone())),
+    1 -> idSet.flatMap(x => Gen.listOfN(x.length, Gen.prob(0.5)).map { in =>
+      val (a, b) = x.zip(in).partition(_._2)
+      (a.map(_._1), b.map(_._1))
+    }),
   )
 
   /** No vocabulary, or a subset of the pool (plus a token no value has). */
