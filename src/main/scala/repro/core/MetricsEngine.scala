@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{col, count, lit, when}
 
+import repro.graph.ConnectedComponents
+
 /** Spark-side confusion-matrix computation between an experiment clustering
   * and a ground-truth clustering (Frost, Sections 3.2.1 and 5.3: "nearly all
   * calculations ... are performed using transitively closed clusters instead
@@ -61,15 +63,8 @@ object MetricsEngine {
 
   /** The first `n` cluster IDs relabelled to `0 until` their distinct count. */
   private def dense(clusters: Array[Long], n: Int): Array[Int] = {
-    val sorted = java.util.Arrays.copyOf(clusters, n)
-    java.util.Arrays.sort(sorted)
-    var distinct = 0
-    var k = 0
-    while (k < n) {
-      if (k == 0 || sorted(k) != sorted(k - 1)) { sorted(distinct) = sorted(k); distinct += 1 }
-      k += 1
-    }
-    Array.tabulate(n)(k => java.util.Arrays.binarySearch(sorted, 0, distinct, clusters(k)))
+    val sorted = ConnectedComponents.sortedDistinct(java.util.Arrays.copyOf(clusters, n))
+    Array.tabulate(n)(k => java.util.Arrays.binarySearch(sorted, clusters(k)))
   }
 
   /** Confusion matrix from explicit pair sets (columns a, b) — used for

@@ -118,9 +118,9 @@ object PairSelection {
 
   /** Plain result pairs (4.2.4): hide pairs added by the clustering step,
     * keeping only pairs originally labelled by the matching solution.
-    * `original` is the solution's raw pair output.
+    * `original` is the solution's raw pair output. The pairs of both sets:
+    * their Venn intersection ([[SetComparison.select]], Section 4.1).
     */
   def plainResultPairs(closedPairs: DataFrame, original: DataFrame): DataFrame =
-    ClusteringOps.canonicalPairs(closedPairs)
-      .join(ClusteringOps.canonicalPairs(original), Seq("a", "b"), "left_semi")
+    SetComparison.select(Seq(closedPairs, original), include = Set(0, 1), exclude = Set.empty)
 }

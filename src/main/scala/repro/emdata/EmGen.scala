@@ -41,11 +41,8 @@ object EmGen {
       dupClusters: Seq[(Int, Int)],
       attrs: Seq[AttrSpec],
       pool: IndexedSeq[String],
-      dropRate: Double = 0.05,
-      swapRate: Double = 0.03,
-      positiveRatio: Double = 0.05,
-      zipfAlpha: Double = 1.1,
-      seed: Long = 7,
+      positiveRatio: Double,
+      seed: Long,
   ) {
     require(attrs.nonEmpty, "need at least one attribute")
     require(pool.nonEmpty, "empty vocabulary pool")
@@ -77,6 +74,15 @@ object EmGen {
     lazy val labeledPairs: DataFrame = sample
   }
 
+  /** Per token of a duplicate's value: the chance it is dropped and, if
+    * kept, the chance it is swapped for a random pool token.
+    */
+  private val dropRate = 0.05
+  private val swapRate = 0.03
+
+  /** Exponent of the Zipf draw of a `zipf` attribute's tokens. */
+  private val zipfAlpha = 1.1
+
   /** Zipf sampler over `0 until n` with exponent `alpha`. */
   private final class ZipfSampler(n: Int, alpha: Double, rnd: Random) {
     private val cum = new Array[Double](n)
@@ -104,7 +110,7 @@ object EmGen {
     // construction order (global/common/exclusive token classes) — in real
     // data, shared domain words are not systematically the frequent ones.
     val pool = rnd.shuffle(spec.pool)
-    val zipf = new ZipfSampler(pool.size, spec.zipfAlpha, rnd)
+    val zipf = new ZipfSampler(pool.size, zipfAlpha, rnd)
 
     def drawValue(attr: AttrSpec): Array[String] = {
       val k = math.max(1, math.round(attr.meanWords + rnd.nextGaussian() * attr.meanWords / 5.0).toInt)
@@ -117,8 +123,8 @@ object EmGen {
     def corrupt(tokens: Array[String], attr: AttrSpec): String = {
       if (rnd.nextDouble() < attr.nullRate) return null
       val kept = tokens.flatMap { t =>
-        if (rnd.nextDouble() < spec.dropRate) None
-        else if (rnd.nextDouble() < spec.swapRate) Some(pool(rnd.nextInt(pool.size)))
+        if (rnd.nextDouble() < dropRate) None
+        else if (rnd.nextDouble() < swapRate) Some(pool(rnd.nextInt(pool.size)))
         else Some(t)
       }
       val out = if (kept.isEmpty) Array(tokens(rnd.nextInt(tokens.length))) else kept

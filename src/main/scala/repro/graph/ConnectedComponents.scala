@@ -138,9 +138,23 @@ object ConnectedComponents {
   /** Pairs in the edges' transitive closure, Σ C(|c|, 2) over their components. */
   private[repro] def closedPairCount(src: Array[Long], dst: Array[Long]): Long = unionAll(src, dst)._2.pairCount
 
+  /** The distinct values of `ids`, ascending: one primitive sort of `ids`
+    * in place, then one scan dropping the repeats (no boxing `distinct`).
+    */
+  private[repro] def sortedDistinct(ids: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(ids)
+    var distinct = 0
+    var k = 0
+    while (k < ids.length) {
+      if (distinct == 0 || ids(k) != ids(distinct - 1)) { ids(distinct) = ids(k); distinct += 1 }
+      k += 1
+    }
+    java.util.Arrays.copyOf(ids, distinct)
+  }
+
   /** Every endpoint ID of the edges, ascending, and every edge unioned over its indices there. */
   private def unionAll(src: Array[Long], dst: Array[Long]): (Array[Long], UnionFind) = {
-    val ids = (src ++ dst).sorted.distinct
+    val ids = sortedDistinct(Array.concat(src, dst))
     def dense(id: Long): Int = java.util.Arrays.binarySearch(ids, id)
     val uf = new UnionFind(ids.length)
     var k = 0

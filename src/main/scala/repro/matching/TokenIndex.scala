@@ -1,6 +1,6 @@
 package repro.matching
 
-import scala.collection.mutable.{ArrayBuffer, ArrayBuilder, PriorityQueue}
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.col
@@ -103,9 +103,9 @@ private[matching] object TokenIndex {
   /** Index of `records` (a unique, non-null long `id` per record) over the
     * blocking attributes and the scored attributes, from one Spark job.
     * Each task tokenizes each value of its records once, numbering its
-    * tokens locally ([[Part]]); the driver merges the tasks' sorted tokens
-    * into the dataset's [[Similarity.TokenDictionary]] and maps every
-    * task's local IDs to the dictionary's, one part per core.
+    * tokens locally ([[Part]]); the driver sorts all the tasks' tokens into
+    * the dataset's [[Similarity.TokenDictionary]] and maps every task's
+    * local IDs to the dictionary's, one part per core.
     *
     * @throws IllegalArgumentException naming the ID, if an ID is null or
     *         appears more than once
@@ -126,49 +126,47 @@ private[matching] object TokenIndex {
     val parts = records.select(col("id").cast("long") +: attrs.map(a => col(a).cast("string")): _*).rdd
       .mapPartitions(rows => Iterator(Part.of(rows, width))).collect()
     require(!parts.exists(_.nullId), "a record has a null id")
-    val (sorted, ranks) = merge(parts.map(_.tokens))
-    val dict = Similarity.dictionary(sorted, vocab)
-    val keys = dict.blockingKeys
-
-    // Per record in task order: its ID and, per attribute, its sorted token
-    // IDs (null for a null value). Each part fills its own range of records,
-    // one part per task on the common pool.
-    val starts = parts.scanLeft(0)(_ + _.ids.length)
-    val n = starts.last
-    val taskIds = new Array[Long](n)
-    val values = Array.ofDim[Array[Int]](width, n)
-    Tasks.inTasks(parts.length, parallel = true) { p =>
-      val part = parts(p)
-      val toId = ranks(p).map(dict.ids(_))
-      var i = starts(p); var v = 0; var f = 0
-      part.ids.foreach { id =>
-        taskIds(i) = id
-        var k = 0
-        while (k < width) {
-          val len = part.lengths(v)
-          if (len >= 0) {
-            val ids = java.util.Arrays.copyOfRange(part.tokenIds, f, f + len)
-            java.util.Arrays.setAll(ids, (q: Int) => toId(ids(q)))
-            java.util.Arrays.sort(ids)
-            values(k)(i) = ids
-            f += len
-          }
-          v += 1
-          k += 1
-        }
-        i += 1
-      }
-    }
-
-    val order = Array.range(0, n).sortBy(taskIds(_))
-    val ids = order.map(taskIds(_))
+    val ids = parts.flatMap(_.ids)
+    java.util.Arrays.sort(ids)
     var i = 1
     while (i < ids.length) {
       require(ids(i) != ids(i - 1), s"record id ${ids(i)} appears more than once")
       i += 1
     }
-    val encoded = scoredCols.map(k => order.map(values(k)(_)))
-    val recordKeys = order.map(r => blockingKeys(blockingCols.map(values(_)(r)), keys))
+
+    val sorted = parts.flatMap(_.tokens).distinct
+    java.util.Arrays.parallelSort(sorted)
+    val dict = Similarity.dictionary(sorted, vocab)
+    val keys = dict.blockingKeys
+
+    // Per record in ID order, per attribute: its sorted token IDs (null for
+    // a null value). Each part places its own records, one part per task on
+    // the common pool.
+    val values = Array.ofDim[Array[Int]](width, ids.length)
+    Tasks.inTasks(parts.length, parallel = true) { p =>
+      val part = parts(p)
+      val toId = part.tokens.map(t => dict.ids(java.util.Arrays.binarySearch(sorted, t, Ordering.String)))
+      var v = 0; var f = 0
+      part.ids.foreach { id =>
+        val r = java.util.Arrays.binarySearch(ids, id)
+        var k = 0
+        while (k < width) {
+          val len = part.lengths(v)
+          if (len >= 0) {
+            val tokenIds = java.util.Arrays.copyOfRange(part.tokenIds, f, f + len)
+            java.util.Arrays.setAll(tokenIds, (q: Int) => toId(tokenIds(q)))
+            java.util.Arrays.sort(tokenIds)
+            values(k)(r) = tokenIds
+            f += len
+          }
+          v += 1
+          k += 1
+        }
+      }
+    }
+
+    val encoded = scoredCols.map(values(_))
+    val recordKeys = Array.tabulate(ids.length)(r => blockingKeys(blockingCols.map(values(_)(r)), keys))
     postings(ids, encoded, recordKeys, keys, maxBlockSize)
   }
 
@@ -197,10 +195,11 @@ private[matching] object TokenIndex {
     if (distinct == all.length) all else java.util.Arrays.copyOf(all, distinct)
   }
 
-  /** What one task returns for its records: its distinct tokens, ascending;
-    * the records' IDs, and whether one was null; for each record and each
-    * attribute in turn, the number of distinct tokens of the value (-1 for
-    * null) in `lengths`, and their ranks in `tokens` in `tokenIds`.
+  /** What one task returns for its records: its distinct tokens, in the
+    * order it met them; the records' IDs, and whether one was null; for each
+    * record and each attribute in turn, the number of distinct tokens of the
+    * value (-1 for null) in `lengths`, and their indices in `tokens` in
+    * `tokenIds`.
     */
   private final case class Part(
       tokens: Array[String], ids: Array[Long], nullId: Boolean, lengths: Array[Int], tokenIds: Array[Int])
@@ -241,34 +240,8 @@ private[matching] object TokenIndex {
           k += 1
         }
       }
-      val byToken = Array.range(0, tokens.length).sortBy(tokens(_))
-      val rank = new Array[Int](tokens.length)
-      byToken.indices.foreach(r => rank(byToken(r)) = r)
-      val ranked = tokenIds.result()
-      java.util.Arrays.setAll(ranked, (x: Int) => rank(ranked(x)))
-      Part(byToken.map(tokens), ids.result(), nullId, lengths.result(), ranked)
+      Part(tokens.toArray, ids.result(), nullId, lengths.result(), tokenIds.result())
     }
-  }
-
-  /** The distinct strings of the ascending, distinct `sorted(p)`, ascending,
-    * and for each p the rank in them of each of its strings: one k-way
-    * merge.
-    */
-  private def merge(sorted: Array[Array[String]]): (Array[String], Array[Array[Int]]) = {
-    val next = new Array[Int](sorted.length)
-    val heads = PriorityQueue.empty[Int](Ordering.by((p: Int) => sorted(p)(next(p))).reverse)
-    sorted.indices.foreach(p => if (sorted(p).nonEmpty) heads += p)
-    val all = ArrayBuffer.empty[String]
-    val ranks = sorted.map(s => new Array[Int](s.length))
-    while (heads.nonEmpty) {
-      val p = heads.dequeue()
-      val t = sorted(p)(next(p))
-      if (all.isEmpty || all.last != t) all += t
-      ranks(p)(next(p)) = all.length - 1
-      next(p) += 1
-      if (next(p) < sorted(p).length) heads += p
-    }
-    (all.toArray, ranks)
   }
 
   /** The index with the CSR postings of the keys held by 2 to

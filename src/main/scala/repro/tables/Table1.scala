@@ -88,7 +88,7 @@ object Table1 {
     * then its `reps` timed runs and then naive's run back to back, so no
     * custom timing follows a naive run on the same heap.
     */
-  def run(w: Workload, reps: Int = 2): Result = {
+  def run(w: Workload, reps: Int): Result = {
     val (gold, matches) = build(w)
     def timed(f: => IndexedSeq[ConfusionMatrix]) = {
       val runs = (1 to reps).map(_ => timeMs(f))
@@ -108,7 +108,7 @@ object Table1 {
     * on the smallest alone left custom's code uncompiled by the JIT when the
     * small workloads were timed.
     */
-  def runAll(reps: Int = 2): Seq[Result] = {
+  def runAll(reps: Int): Seq[Result] = {
     workloads.foreach(run(_, reps = 1))
     workloads.map(run(_, reps))
   }

@@ -97,7 +97,7 @@ class PairSelectionSpec extends SparkSpec {
 
   test("plainResultPairs hides closure-added pairs") {
     val closed = Seq((0L, 1L), (1L, 2L), (0L, 2L)).toDF("a", "b")
-    val original = Seq((0L, 1L), (1L, 2L)).toDF("a", "b")
+    val original = Seq((0L, 1L), (2L, 1L), (0L, 1L), (3L, 3L)).toDF("a", "b")
     val got = PairSelection.plainResultPairs(closed, original)
       .as[(Long, Long)].collect().toSet
     assert(got == Set((0L, 1L), (1L, 2L)))
