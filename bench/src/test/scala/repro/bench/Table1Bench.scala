@@ -5,11 +5,9 @@ import java.nio.charset.StandardCharsets
 import java.nio.file.Files
 import java.util.Locale
 
-import scala.sys.process.Process
-import scala.util.Try
-
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.bench.BenchEnvironment.root
 import repro.tables.Table1
 
 /** Regenerates paper Table 1: runtime of pair-based metric/metric diagrams,
@@ -31,20 +29,7 @@ class Table1Bench extends AnyFunSuite {
   private val reps = 7
   private lazy val results = Table1.runAll(reps)
 
-  /** The checkout's root: the nearest directory up from the working
-    * directory that holds `build.sbt`.
-    */
-  private lazy val root: File =
-    Iterator.iterate(new File(".").getCanonicalFile)(_.getParentFile)
-      .takeWhile(_ != null).find(d => new File(d, "build.sbt").isFile)
-      .getOrElse(new File(".").getCanonicalFile)
-
-  private lazy val banner: String = {
-    val rt = Runtime.getRuntime
-    val rev = Try(Process(Seq("git", "describe", "--always", "--dirty"), root).!!.trim).getOrElse("unknown")
-    s"cores ${rt.availableProcessors}, max heap ${rt.maxMemory >> 20} MB, " +
-      s"JVM ${sys.props("java.vm.name")} ${sys.props("java.runtime.version")}, git $rev"
-  }
+  private lazy val banner: String = BenchEnvironment.banner(None)
 
   private def json(s: String): String = "\"" + s.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
 

@@ -19,6 +19,7 @@ class Table2Bench extends SparkSpec {
 
   test("print Table 2 (paper vs measured)") {
     println("=== Table 2: Profiling the SIGMOD contest datasets ===")
+    println(BenchEnvironment.banner(Some(spark)))
     println(Table2.format(result))
     println(f"Table2.run: $wallS%.1f s wall, $jobs Spark jobs")
   }

@@ -28,6 +28,7 @@ class Table3Bench extends SparkSpec {
 
   test("print Table 3 (paper vs measured)") {
     println("=== Table 3: Average quality of matching solutions across datasets ===")
+    println(BenchEnvironment.banner(Some(spark)))
     println(Table3.format(result))
     println(f"Table3.run: $wallS%.1f s wall, $jobs Spark jobs")
   }

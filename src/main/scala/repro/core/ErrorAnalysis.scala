@@ -82,8 +82,8 @@ object ErrorAnalysis {
     }
     val agg = SetComparison.enrich(pairs, records.select(("id" +: attrs).map(col): _*)).select(counts: _*).collect()(0)
     val rows = attrs.indices.map { i =>
-      val cnt = Rows.long(agg, 2 * i)
-      val falseCnt = Rows.long(agg, 2 * i + 1)
+      val cnt = agg.getLong(2 * i)
+      val falseCnt = agg.getLong(2 * i + 1)
       Row(attrs(i), cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
     }
     val schema = StructType(Seq(

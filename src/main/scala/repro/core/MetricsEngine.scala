@@ -77,9 +77,9 @@ object MetricsEngine {
   def confusionMatrixFromPairs(expPairs: DataFrame, goldPairs: DataFrame, n: Long): ConfusionMatrix = {
     val counts = SetComparison.vennRegions(Seq(expPairs, goldPairs))
       .select(Seq(3, 1, 2).map(r => count(when(col("region") === r, true))): _*).collect()(0)
-    val tp = Rows.long(counts, 0)
-    val fp = Rows.long(counts, 1)
-    val fn = Rows.long(counts, 2)
+    val tp = counts.getLong(0)
+    val fp = counts.getLong(1)
+    val fn = counts.getLong(2)
     ConfusionMatrix(tp, fp, fn, ConfusionMatrix.pairsOf(n) - tp - fp - fn)
   }
 

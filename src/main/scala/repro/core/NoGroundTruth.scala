@@ -33,7 +33,7 @@ object NoGroundTruth {
     val deviations = SetComparison.vennRegions(experiments)
       .select(has.map(h => count(when(h =!= majority, true))): _*)
       .collect()(0)
-    experiments.indices.map(i => (i, Rows.long(deviations, i)))
+    experiments.indices.map(i => (i, deviations.getLong(i)))
   }
 
   /** Compactness of matched pairs and sparsity of close non-matches
@@ -44,11 +44,12 @@ object NoGroundTruth {
     * @param scored (a, b, score, matched: Boolean) — all scored candidate pairs
     */
   def compactnessAndSparsity(scored: DataFrame, neighbourhoodSize: Int = 1000): (Double, Double) = {
-    val compactness = Rows.double(scored.filter(col("matched"))
-      .agg(avg(col("score"))).collect()(0), 0)
-    val sparsity = Rows.double(scored.filter(!col("matched"))
+    // The mean of no scores is null, which reads as 0.
+    val mean = coalesce(avg(col("score")), lit(0.0))
+    val compactness = scored.filter(col("matched")).agg(mean).collect()(0).getDouble(0)
+    val sparsity = scored.filter(!col("matched"))
       .orderBy(col("score").desc).limit(neighbourhoodSize)
-      .agg(avg(col("score"))).collect()(0), 0)
+      .agg(mean).collect()(0).getDouble(0)
     (compactness, sparsity)
   }
 }

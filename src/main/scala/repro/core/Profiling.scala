@@ -58,7 +58,7 @@ object Profiling {
     * attribute values the null count, the word total and the number of
     * values with at least one word.
     */
-  private final case class RecordStats(rows: Long, attrs: Int, nulls: Long, words: Long, worded: Long) {
+  private[repro] final case class RecordStats(rows: Long, attrs: Int, nulls: Long, words: Long, worded: Long) {
     def sparsity: Double = { val cells = rows * attrs; if (cells == 0) 0.0 else nulls.toDouble / cells }
     def textuality: Double = if (worded == 0) 0.0 else words.toDouble / worded
   }
@@ -69,7 +69,7 @@ object Profiling {
     * over the RDD because a DataFrame `agg` would run its exchange as a job
     * of its own under adaptive execution.
     */
-  private def recordStats(records: DataFrame, attrs: Seq[String]): RecordStats = {
+  private[repro] def recordStats(records: DataFrame, attrs: Seq[String]): RecordStats = {
     val values = records.select(attrs.map(a => col(a).cast("string")): _*)
     val k = attrs.size
     val perTask = values.rdd.mapPartitions { rows =>
@@ -115,8 +115,8 @@ object Profiling {
       .union(vocabulary(d2, attrs2).withColumn("side", lit(2)))
     val counts = tagged.groupBy(col("token")).agg(sum(col("side")).as("sides"))
       .agg(count(lit(1)), count(when(col("sides") === 3, true))).collect()(0)
-    val union = Rows.long(counts, 0)
-    val inter = Rows.long(counts, 1)
+    val union = counts.getLong(0)
+    val inter = counts.getLong(1)
     if (union == 0) 0.0 else inter.toDouble / union
   }
 

@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.matching.Similarity
+
 /** Sorting strategies for pair interestingness (Frost, Section 4.3). */
 object SortingStrategies {
 
@@ -10,10 +12,20 @@ object SortingStrategies {
   def bySimilarity(pairs: DataFrame, descending: Boolean = true): DataFrame =
     pairs.orderBy(if (descending) col("score").desc else col("score").asc)
 
+  /** A cell's tokens, repeats included, as [[Similarity.foreachToken]]
+    * scans them: lower-cased words; none for null.
+    */
+  private val cellTokens = udf { (s: String) =>
+    val b = Seq.newBuilder[String]
+    Similarity.foreachToken(s)(b += _)
+    b.result()
+  }
+
   /** Record entropy per the paper's column entropy (4.3.2): for every cell,
     * Σ_token prob_t · −log(columnProb_t) where prob_t is the token's
     * frequency within the cell and columnProb_t its frequency within the
-    * column; a record's entropy is the sum of its cell entropies.
+    * column; a record's entropy is the sum of its cell entropies. A cell's
+    * tokens are its `cellTokens`, so tokens differing only in case are one.
     *
     * @param records DataFrame with an `id` column; `attrs` are string columns
     * @return (id, entropy)
@@ -22,9 +34,7 @@ object SortingStrategies {
     require(attrs.nonEmpty, "need at least one attribute")
     val perAttr = attrs.map { a =>
       // Explode into (id, token) with per-cell token counts.
-      val tokens = records
-        .select(col("id"), explode(split(coalesce(col(a).cast("string"), lit("")), "\\s+")).as("token"))
-        .filter(col("token") =!= "")
+      val tokens = records.select(col("id"), explode(cellTokens(col(a).cast("string"))).as("token"))
       val cellCounts = tokens.groupBy(col("id"), col("token")).agg(count(lit(1)).as("cnt"))
       val cellTotals = cellCounts.groupBy(col("id")).agg(sum(col("cnt")).as("cellTotal"))
       // The column's token total joins in as a one-row frame, so building

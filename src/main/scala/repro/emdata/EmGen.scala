@@ -136,8 +136,9 @@ object EmGen {
     var recId = 0
     var clusterId = 0
 
-    // Duplicate clusters: one entity per cluster, corrupted copies.
-    spec.dupClusters.foreach { case (size, count) =>
+    // One entity per cluster, corrupted copies; the remaining records are
+    // clusters of one.
+    (spec.dupClusters :+ ((1, spec.nRecords - spec.dupRecords))).foreach { case (size, count) =>
       var c = 0
       while (c < count) {
         val entity = spec.attrs.map(a => (a, drawValue(a)))
@@ -149,13 +150,6 @@ object EmGen {
         }
         clusterId += 1; c += 1
       }
-    }
-    // Singletons.
-    while (recId < spec.nRecords) {
-      val entity = spec.attrs.map(a => (a, drawValue(a)))
-      gold(recId) = clusterId
-      values(recId) = entity.map { case (a, v) => corrupt(v, a) }.toArray
-      recId += 1; clusterId += 1
     }
 
     val schema = StructType(

@@ -1,6 +1,6 @@
 package repro.matching
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.functions.{col, lit, when}
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
@@ -18,8 +18,8 @@ object Blocking {
   /** Fewest code points a blocking token has. */
   private[matching] val shortestToken = 3
 
-  /** Token blocking over the given attributes: the blocking half of a
-    * [[TokenIndex]] over `records`, its pairs emitted in Spark tasks.
+  /** Token blocking over the given attributes: the pairs of a
+    * [[similarities]] table that scores no attribute.
     *
     * @param records      DataFrame with a unique, non-null long `id` and
     *                     string attributes
@@ -36,13 +36,9 @@ object Blocking {
   def tokenBlocking(
       records: DataFrame,
       attrs: Seq[String],
-      maxBlockSize: Int = 50,
+      maxBlockSize: Int,
       knownVocab: Option[Set[String]] = None,
-  ): DataFrame = {
-    val index = TokenIndex(records, attrs, Nil, maxBlockSize, knownVocab)
-    val ids = index.ids
-    index.frame(records.sparkSession, pairSchema)((i, j) => Row(ids(i), ids(j)))
-  }
+  ): DataFrame = similarities(records, Nil, attrs, maxBlockSize, knownVocab)
 
   /** Per-attribute similarity table: the candidate pairs (a, b) of token
     * blocking over `blockingAttrs` with, for each of `attrs`, `act_<attr>`

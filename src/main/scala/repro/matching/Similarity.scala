@@ -17,7 +17,7 @@ object Similarity {
   /** Calls `f` on each token of `s`, in order and repeats included: the
     * words of `s.toLowerCase` ([[foreachWord]]). Nothing for null.
     */
-  private[matching] def foreachToken(s: String)(f: String => Unit): Unit =
+  private[repro] def foreachToken(s: String)(f: String => Unit): Unit =
     if (s != null) {
       val l = s.toLowerCase
       foreachWord(l)((from, until) => f(l.substring(from, until)))

@@ -39,23 +39,23 @@ object Table2 {
     val datasets = specs.map(EmGen.generate(spark, _))
 
     val attrNames = specs.head.attrs.map(_.name)
-    val rows = datasets.map { d =>
-      val p = Profiling.profile(d.records, d.gold, attrNames)
-      val pr = positiveRatioOverLabeled(d)
-      Row(d.spec.name, p.sparsity, p.textuality, p.tupleCount, pr)
-    }
+    val rows = datasets.map(profileRow(_, attrNames))
     val vsD2 = Profiling.vocabularySimilarity(datasets(0).records, attrNames, datasets(1).records, attrNames)
     val vsD3 = Profiling.vocabularySimilarity(datasets(2).records, attrNames, datasets(3).records, attrNames)
     Result(rows, vsD2, vsD3)
   }
 
-  /** Labeled pairs with `label` true over all labeled pairs, from one count
-    * per label value: one Spark job (`countByValue`).
+  /** A dataset's row from two Spark jobs: the records pass of
+    * [[Profiling]] for SP, TX and TC, and one count per label value
+    * (`countByValue`) for PR, the labeled pairs with `label` true over all
+    * labeled pairs.
     */
-  private def positiveRatioOverLabeled(d: EmGen.EmDataset): Double = {
+  private[tables] def profileRow(d: EmGen.EmDataset, attrs: Seq[String]): Row = {
+    val r = Profiling.recordStats(d.records, attrs)
     val byLabel = d.labeledPairs.select("label").rdd.map(_.get(0)).countByValue()
     val total = byLabel.values.sum
-    if (total == 0) 0.0 else byLabel.getOrElse(true, 0L).toDouble / total
+    val pr = if (total == 0) 0.0 else byLabel.getOrElse(true, 0L).toDouble / total
+    Row(d.spec.name, r.sparsity, r.textuality, r.rows, pr)
   }
 
   def format(r: Result): String = {

@@ -85,10 +85,10 @@ object ReferenceExploration {
       val hit = joined.filter(pred(col(s"la_$a"), col(s"rb_$a")))
       val agg = hit.agg(
         count(lit(1)).as("cnt"),
-        sum(when(col("correct"), 0).otherwise(1)).as("falseCnt"),
+        coalesce(sum(when(col("correct"), 0).otherwise(1)), lit(0L)).as("falseCnt"),
       ).collect()(0)
-      val cnt = Rows.long(agg, 0)
-      val falseCnt = Rows.long(agg, 1)
+      val cnt = agg.getLong(0)
+      val falseCnt = agg.getLong(1)
       Row(a, cnt, falseCnt, if (cnt == 0) 0.0 else falseCnt.toDouble / cnt)
     }
     joined.unpersist()
@@ -108,7 +108,7 @@ object ReferenceExploration {
     val perAttr = attrs.map { a =>
       // Explode into (id, token) with per-cell token counts.
       val tokens = records
-        .select(col("id"), explode(split(coalesce(col(a).cast("string"), lit("")), "\\s+")).as("token"))
+        .select(col("id"), explode(split(lower(coalesce(col(a).cast("string"), lit(""))), "\\s+")).as("token"))
         .filter(col("token") =!= "")
       val cellCounts = tokens.groupBy(col("id"), col("token")).agg(count(lit(1)).as("cnt"))
       val cellTotals = cellCounts.groupBy(col("id")).agg(sum(col("cnt")).as("cellTotal"))

@@ -47,6 +47,21 @@ class SortingStrategiesSpec extends SparkSpec {
     assert(ent(0L) > 0)
   }
 
+  test("recordEntropy tokenizes as Similarity does: case folded, split on Java's whitespace only") {
+    // "Laptop" and "laptop" are one token; a vertical tab and a form feed
+    // break words, the no-break space U+00A0 does not, so "pro max" joined by
+    // it is one token, like "promax".
+    val records = Seq(
+      (0L, "Laptop\u000Blaptop\fpro", "laptop laptop pro"),
+      (1L, "pro\u00A0max LAPTOP", "promax laptop"),
+    ).toDF("id", "raw", "plain")
+    def entropy(attr: String): Map[Long, Double] =
+      SortingStrategies.recordEntropy(records, Seq(attr)).as[(Long, Double)].collect().toMap
+    val (raw, plain) = (entropy("raw"), entropy("plain"))
+    assert(raw.keySet == Set(0L, 1L))
+    for (id <- raw.keys) assert(math.abs(raw(id) - plain(id)) < 1e-12, s"record $id: ${raw(id)} vs ${plain(id)}")
+  }
+
   test("recordEntropy sums over multiple attribute columns") {
     val records = Seq((0L, "x", "y"), (1L, "x", "z")).toDF("id", "c1", "c2")
     val both = SortingStrategies.recordEntropy(records, Seq("c1", "c2"))

@@ -9,7 +9,7 @@ import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 
 import repro.SparkSpec
-import repro.core.{MetricDiagram, MetricsEngine, PairMetrics, ScoredMatch}
+import repro.core.{MetricDiagram, MetricsEngine, PairMetrics, Profiling, ScoredMatch}
 import repro.emdata.{DatasetSpecs, EmGen}
 import repro.graph.ConnectedComponents
 import repro.matching.{ExperimentGen, ReferenceSimilarity}
@@ -61,6 +61,16 @@ class TablesSpec extends SparkSpec {
   test("Table2 paper rows pin the published profile") {
     assert(Table2.paperRows.map(_.dataset) == Seq("X2", "Z2", "X3", "Z3"))
     assert(Table2.paperRows.map(_.tc) == Seq(58653L, 18915L, 56616L, 35778L))
+  }
+
+  test("Table2.profileRow profiles a dataset in two Spark jobs: the records pass and the label count") {
+    val d = EmGen.generate(spark, DatasetSpecs.tiny())
+    val attrs = d.spec.attrs.map(_.name)
+    val (row, jobs) = jobsOf(Table2.profileRow(d, attrs))
+    assert(jobs == 2, s"profileRow started $jobs Spark jobs")
+    val p = Profiling.profile(d.records, d.gold, attrs)
+    assert((row.sp, row.tx, row.tc) == ((p.sparsity, p.textuality, p.tupleCount)))
+    assert(math.abs(row.pr - d.spec.positiveRatio) < 1e-12, s"PR ${row.pr}")
   }
 
   test("Table3.tuneThreshold picks an f1-improving threshold") {
