@@ -17,16 +17,16 @@ import org.apache.spark.sql.types.StructType
 private[repro] object DriverFrames {
 
   /** A DataFrame of the rows `row(0)`, ..., `row(n - 1)` with `schema`, in
-    * `min(n, defaultParallelism)` partitions (one when `n` is 0). `row` is
-    * broadcast with what it captures, and primitive arrays serialize many
-    * times faster than the same values in `Row`s, so a caller whose columns
-    * are numbers should capture arrays and build each `Row` in `row`.
+    * `k = min(n, defaultParallelism)` partitions (one when `n` is 0):
+    * [[flat]] over the slices `[i·n/k, (i+1)·n/k)`, the cuts `parallelize`
+    * makes. `row` is broadcast with what it captures, and primitive arrays
+    * serialize many times faster than the same values in `Row`s, so a
+    * caller whose columns are numbers should capture arrays and build each
+    * `Row` in `row`.
     */
   def apply(spark: SparkSession, n: Int, schema: StructType)(row: Int => Row): DataFrame = {
-    val sc = spark.sparkContext
-    val shared = sc.broadcast(row)
-    val slices = math.min(math.max(n, 1), sc.defaultParallelism)
-    spark.createDataFrame(sc.parallelize(0 until n, slices).map(i => shared.value(i)), schema)
+    val k = math.min(math.max(n, 1), spark.sparkContext.defaultParallelism)
+    flat(spark, k, schema)(i => Iterator.range((i.toLong * n / k).toInt, ((i + 1).toLong * n / k).toInt).map(row))
   }
 
   /** A DataFrame of the rows of `rows(0)`, ..., `rows(n - 1)`, one

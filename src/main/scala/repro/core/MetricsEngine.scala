@@ -46,13 +46,7 @@ object MetricsEngine {
     * clusters in the same order.
     */
   private def byId(side: String, rows: Array[Row]): (Array[Long], Array[Long]) = {
-    val ids = rows.map(_.getLong(1))
-    java.util.Arrays.sort(ids)
-    var k = 1
-    while (k < ids.length) {
-      require(ids(k) != ids(k - 1), s"record ${ids(k)} appears twice in the $side clustering")
-      k += 1
-    }
+    val ids = ConnectedComponents.sortedUnique(rows.map(_.getLong(1)))(id => s"record $id appears twice in the $side clustering")
     val clusters = new Array[Long](ids.length)
     rows.foreach { r =>
       require(!r.isNullAt(2), s"record ${r.getLong(1)} has a null cluster in the $side clustering")

@@ -13,7 +13,7 @@ object NoGroundTruth {
     * inconsistent the proposed matches.
     */
   def missingClosurePairs(matchPairs: DataFrame): Long = {
-    val edges = ClusteringOps.canonicalPairs(matchPairs).select(col("a").as("src"), col("b").as("dst"))
+    val edges = SetComparison.canonicalPairs(matchPairs).select(col("a").as("src"), col("b").as("dst"))
     val (src, dst) = ConnectedComponents.collectEdges(edges, ConnectedComponents.maxEdges)
     ConnectedComponents.closedPairCount(src, dst) - src.length
   }
@@ -44,11 +44,12 @@ object NoGroundTruth {
     * @param scored (a, b, score, matched: Boolean) — all scored candidate pairs
     */
   def compactnessAndSparsity(scored: DataFrame, neighbourhoodSize: Int = 1000): (Double, Double) = {
-    // The mean of no scores is null, which reads as 0.
-    val mean = coalesce(avg(col("score")), lit(0.0))
+    // The mean of no scores is null, which reads as 0; a NaN score fails.
+    val score = SetComparison.checkedScore
+    val mean = coalesce(avg(score), lit(0.0))
     val compactness = scored.filter(col("matched")).agg(mean).collect()(0).getDouble(0)
     val sparsity = scored.filter(!col("matched"))
-      .orderBy(col("score").desc).limit(neighbourhoodSize)
+      .orderBy(score.desc).limit(neighbourhoodSize)
       .agg(mean).collect()(0).getDouble(0)
     (compactness, sparsity)
   }

@@ -32,8 +32,9 @@ object PairSelection {
     * `k - kAbove` directly below it.
     */
   private def around(pairs: DataFrame, threshold: Double, k: Int, kAbove: Int): DataFrame = {
-    val above = pairs.filter(col("score") >= threshold).orderBy(col("score").asc).limit(kAbove)
-    val below = pairs.filter(col("score") < threshold).orderBy(col("score").desc).limit(k - kAbove)
+    val score = SetComparison.checkedScore
+    val above = pairs.filter(score >= threshold).orderBy(score.asc).limit(kAbove)
+    val below = pairs.filter(score < threshold).orderBy(score.desc).limit(k - kAbove)
     above.union(below)
   }
 
@@ -42,7 +43,7 @@ object PairSelection {
     */
   def incorrectOutliers(pairs: DataFrame, threshold: Double, k: Int): DataFrame =
     pairs.filter(!col("correct"))
-      .orderBy(abs(col("score") - threshold).desc)
+      .orderBy(abs(SetComparison.checkedScore - threshold).desc)
       .limit(k)
 
   /** Percentiles with representatives (4.2.3): sort by score, split into
@@ -66,20 +67,19 @@ object PairSelection {
         ranked.withColumn("rn", row_number().over(byPart)).filter(col("rn") <= b).drop("rn")
       case "class" =>
         // Budget split by correct/incorrect share within the partition: the
-        // correct class gets its rounded share and the incorrect class the
-        // rest, so the two never exceed `b` together.
-        val counts = ranked.groupBy(col("partition"))
-          .agg(
-            sum(when(col("correct"), 1).otherwise(0)).as("kT"),
-            sum(when(col("correct"), 0).otherwise(1)).as("kF"),
-          )
-        val correctBudget = round(lit(b) * col("kT") / (col("kT") + col("kF")))
-        val withBudget = ranked.join(counts, Seq("partition"))
-          .withColumn("budget", when(col("correct"), correctBudget).otherwise(lit(b) - correctBudget).cast("int"))
-        val byClass = Window.partitionBy(col("partition"), col("correct")).orderBy(rand(seed))
-        withBudget.withColumn("rn", row_number().over(byClass))
+        // correct class gets its rounded share and the incorrect class (a
+        // null `correct` included) the rest, so the two never exceed `b`
+        // together.
+        val correct = coalesce(col("correct"), lit(false))
+        val byPart = Window.partitionBy(col("partition"))
+        val kT = sum(when(correct, 1).otherwise(0)).over(byPart)
+        val correctBudget = round(lit(b) * kT / count(lit(1)).over(byPart))
+        val byClass = Window.partitionBy(col("partition"), correct).orderBy(rand(seed))
+        ranked
+          .withColumn("budget", when(correct, correctBudget).otherwise(lit(b) - correctBudget).cast("int"))
+          .withColumn("rn", row_number().over(byClass))
           .filter(col("rn") <= col("budget"))
-          .drop("rn", "kT", "kF", "budget")
+          .drop("rn", "budget")
       case "quantile" =>
         // b score-quantile representatives per partition: rank 0, ..., m-1 →
         // pick rows nearest to quantiles i/(b-1).
@@ -96,9 +96,9 @@ object PairSelection {
   }
 
   /** Each pair's equal-frequency score partition, `0 until k`, in ascending
-    * score order.
+    * score order; a NaN score fails the query ([[SetComparison.checkedScore]]).
     */
-  private def scorePartition(k: Int): Column = ntile(k).over(Window.orderBy(col("score"))) - 1
+  private def scorePartition(k: Int): Column = ntile(k).over(Window.orderBy(SetComparison.checkedScore)) - 1
 
   /** Per-partition confusion labels (4.2.3): partitions annotated with their
     * correct/incorrect counts so users can focus on unconfident sections.

@@ -1,18 +1,49 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Set-based comparison of N experiments' pair sets (Frost, Section 4.1):
   * the generic intersection/difference machinery behind the interactive
   * Venn diagrams.
   *
-  * Each experiment is a canonical pair set (a, b). A pair's *region* is the
+  * A *pair set* is a DataFrame (a: Long, b: Long) with a < b (canonical
+  * unordered pairs; [[canonicalPairs]]). A pair's *region* is the
   * bitmask of experiments containing it (bit i set ⇔ pair ∈ experiment i),
   * so the 2^N − 1 non-empty regions of the Venn diagram are the distinct
   * bitmask values.
   */
 object SetComparison {
+
+  /** Canonicalize an edge/pair DataFrame with columns `a`, `b` to a < b and
+    * drop self-pairs and duplicates.
+    *
+    * A pair with a null endpoint fails the query that reads it, with a
+    * message naming the pair (`least` and `greatest` would skip the null
+    * and make it a self-pair); the check adds no Spark job.
+    */
+  def canonicalPairs(pairs: DataFrame): DataFrame = {
+    val checked = when(col("a").isNull || col("b").isNull, pairError("has a null endpoint"))
+    pairs
+      .select(checked.otherwise(least(col("a"), col("b"))).as("a"),
+        checked.otherwise(greatest(col("a"), col("b"))).as("b"))
+      .filter(col("a") < col("b"))
+      .distinct()
+  }
+
+  /** The `score` column of a scored pair set (a, b, score), failing the
+    * query that reads it with a message naming the pair if a score is NaN:
+    * Spark orders NaN above every number, so a score filter, sort or mean
+    * would take it silently. The check adds no Spark job.
+    */
+  private[core] def checkedScore: Column =
+    when(isnan(col("score")), pairError("has a NaN score")).otherwise(col("score"))
+
+  /** Fails the query that evaluates it: `pair (a, b) <problem>`. */
+  private def pairError(problem: String): Column = {
+    def shown(c: String) = coalesce(col(c).cast("string"), lit("null"))
+    raise_error(concat(lit("pair ("), shown("a"), lit(", "), shown("b"), lit(s") $problem")))
+  }
 
   /** Assign every pair occurring in any experiment to its Venn region.
     * Returns (a, b, region: Long).
@@ -21,7 +52,7 @@ object SetComparison {
     require(experiments.nonEmpty, "need at least one experiment")
     require(experiments.size <= 62, "bitmask regions support at most 62 experiments")
     val tagged = experiments.zipWithIndex.map { case (df, i) =>
-      ClusteringOps.canonicalPairs(df).select(col("a"), col("b"), lit(1L << i).as("bit"))
+      canonicalPairs(df).select(col("a"), col("b"), lit(1L << i).as("bit"))
     }
     tagged.reduce(_ union _)
       .groupBy(col("a"), col("b"))

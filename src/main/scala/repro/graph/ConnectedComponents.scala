@@ -152,6 +152,14 @@ object ConnectedComponents {
     java.util.Arrays.copyOf(ids, distinct)
   }
 
+  /** `ids` sorted in place; fails with `repeated(id)` at the smallest repeated ID. */
+  private[repro] def sortedUnique(ids: Array[Long])(repeated: Long => String): Array[Long] = {
+    java.util.Arrays.sort(ids)
+    var k = 1
+    while (k < ids.length) { require(ids(k) != ids(k - 1), repeated(ids(k))); k += 1 }
+    ids
+  }
+
   /** Every endpoint ID of the edges, ascending, and every edge unioned over its indices there. */
   private def unionAll(src: Array[Long], dst: Array[Long]): (Array[Long], UnionFind) = {
     val ids = sortedDistinct(Array.concat(src, dst))

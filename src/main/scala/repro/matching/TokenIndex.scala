@@ -7,6 +7,7 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.StructType
 
 import repro.core.{DriverFrames, Tasks}
+import repro.graph.ConnectedComponents
 
 /** Records encoded once, for blocking and scoring (Frost pipeline steps 2
   * and 3, Section 1.2), built on the driver and broadcast once.
@@ -126,13 +127,7 @@ private[matching] object TokenIndex {
     val parts = records.select(col("id").cast("long") +: attrs.map(a => col(a).cast("string")): _*).rdd
       .mapPartitions(rows => Iterator(Part.of(rows, width))).collect()
     require(!parts.exists(_.nullId), "a record has a null id")
-    val ids = parts.flatMap(_.ids)
-    java.util.Arrays.sort(ids)
-    var i = 1
-    while (i < ids.length) {
-      require(ids(i) != ids(i - 1), s"record id ${ids(i)} appears more than once")
-      i += 1
-    }
+    val ids = ConnectedComponents.sortedUnique(parts.flatMap(_.ids))(id => s"record id $id appears more than once")
 
     val sorted = parts.flatMap(_.tokens).distinct
     java.util.Arrays.parallelSort(sorted)

@@ -89,8 +89,12 @@ object Table3 {
     Blocking.weightedScore(attrs.map(at => at -> sol.weights(at)))
 
   /** Tune a solution's threshold on its home training data: sweep the
-    * metric/metric diagram (the platform's own machinery) and return the
-    * f1-maximizing similarity threshold.
+    * metric/metric diagram (the platform's own machinery) at
+    * `min(samplePoints, |scored| + 1)` sample points and return the
+    * threshold of the point with the highest f1. That point is the best of
+    * the sampled ones, not the f1-maximizing threshold over all scores, and
+    * when its cut falls inside a tie group, `score >= threshold` admits the
+    * whole group, more matches than the point itself counted.
     */
   def tuneThreshold(scored: Array[ScoredMatch], n: Int, gold: Array[Int], samplePoints: Int = 2001): Double = {
     require(scored.nonEmpty, "no scored candidates to tune on")

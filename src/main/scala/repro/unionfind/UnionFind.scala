@@ -26,7 +26,6 @@ final class UnionFind(val n: Int) {
   private val parent = new Array[Int](n)
   private val sz     = new Array[Int](n)
   private var pairs  = 0L
-  private var comps  = n
 
   {
     var i = 0
@@ -48,11 +47,6 @@ final class UnionFind(val n: Int) {
   /** Total number of intra-cluster (matched) pairs. */
   def pairCount: Long = pairs
 
-  /** Number of clusters. */
-  def componentCount: Int = comps
-
-  def sameCluster(a: Int, b: Int): Boolean = find(a) == find(b)
-
   /** Merge the clusters of `a` and `b`; returns the surviving representative,
     * or -1 if they already shared a cluster. The survivor is the root of the
     * larger of the two clusters (`a`'s on a tie).
@@ -66,7 +60,6 @@ final class UnionFind(val n: Int) {
       parent(small) = big
       pairs += sz(big).toLong * sz(small).toLong
       sz(big) += sz(small)
-      comps -= 1
       big
     }
   }

@@ -10,7 +10,7 @@ class ClusteringOpsSpec extends SparkSpec {
 
   test("canonicalPairs orders, dedups, and drops self-pairs") {
     val raw = Seq((2L, 1L), (1L, 2L), (3L, 3L), (4L, 5L)).toDF("a", "b")
-    val got = ClusteringOps.canonicalPairs(raw).as[(Long, Long)].collect().toSet
+    val got = SetComparison.canonicalPairs(raw).as[(Long, Long)].collect().toSet
     assert(got == Set((1L, 2L), (4L, 5L)))
   }
 
@@ -18,7 +18,7 @@ class ClusteringOpsSpec extends SparkSpec {
     val pairs = Seq((0L, Option(1L)), (1L, None), (2L, Option(3L))).toDF("a", "b")
     val gold = Seq((0L, 1L)).toDF("a", "b")
     val queries = Seq[(String, () => Any)](
-      "canonicalPairs" -> (() => ClusteringOps.canonicalPairs(pairs).collect()),
+      "canonicalPairs" -> (() => SetComparison.canonicalPairs(pairs).collect()),
       "vennRegions" -> (() => SetComparison.vennRegions(Seq(pairs, gold)).collect()),
       "consensusDeviation" -> (() => NoGroundTruth.consensusDeviation(Seq(gold, pairs))),
       "missingClosurePairs" -> (() => NoGroundTruth.missingClosurePairs(pairs)),

@@ -97,6 +97,15 @@ class NoGroundTruthSpec extends SparkSpec {
     val (c, s) = NoGroundTruth.compactnessAndSparsity(onlyMatches)
     assert(c == 0.9 && s == 0.0)
   }
+
+  test("compactnessAndSparsity fails on a NaN score of a match or a non-match, naming the pair") {
+    for (matched <- Seq(true, false)) {
+      val scored = Seq((0L, 1L, 0.9, true), (2L, 3L, Double.NaN, matched), (4L, 5L, 0.6, false))
+        .toDF("a", "b", "score", "matched")
+      val e = intercept[Exception](NoGroundTruth.compactnessAndSparsity(scored))
+      assert(e.getMessage.contains("pair (2, 3) has a NaN score"), s"matched=$matched: ${e.getMessage}")
+    }
+  }
 }
 
 object NoGroundTruthSpec {

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.functions.when
+
 import repro.SparkSpec
 
 class PairSelectionSpec extends SparkSpec {
@@ -77,6 +80,38 @@ class PairSelectionSpec extends SparkSpec {
       assert(v.length == 3, s"partition $p: ${v.length} representatives for a budget of 3")
       assert(v.count(_._2) == 2 && v.count(!_._2) == 1, s"partition $p: ${v.toSeq}")
     }
+  }
+
+  test("percentileRepresentatives class sampling counts a null class as incorrect, within the budget") {
+    // One partition of 5 correct, 3 incorrect and 2 unlabelled pairs at b = 4:
+    // 2 correct representatives and 2 from the incorrect and unlabelled pairs.
+    val labels = Seq.fill(5)(Option(true)) ++ Seq.fill(3)(Option(false)) ++ Seq.fill(2)(Option.empty[Boolean])
+    val mixed = labels.zipWithIndex.map { case (c, i) => (i.toLong, i + 100L, i / 10.0, c) }
+      .toDF("a", "b", "score", "correct")
+    for (seed <- 1L to 5L) {
+      val got = PairSelection.percentileRepresentatives(mixed, 1, 4, sampling = "class", seed = seed)
+        .select("correct").as[Option[Boolean]].collect()
+      assert(got.length == 4 && got.count(_.contains(true)) == 2, s"seed $seed: ${got.toSeq}")
+    }
+  }
+
+  test("percentileRepresentatives class sampling counts each partition's classes without a join") {
+    val plan = PairSelection.percentileRepresentatives(pairs, 2, 4, sampling = "class").queryExecution.optimizedPlan
+    assert(plan.collect { case j: Join => j }.isEmpty, plan.treeString)
+  }
+
+  // The pairs above, with a NaN score on the misclassified pair (7, 107).
+  private val withNaN = pairs.withColumn("score", when($"a" === 7, Double.NaN).otherwise($"score"))
+  private val nanTools = Seq[(String, () => Any)](
+    "aroundThreshold" -> (() => PairSelection.aroundThreshold(withNaN, 0.5, 4).collect()),
+    "aroundThresholdProportional" -> (() => PairSelection.aroundThresholdProportional(withNaN, 0.5, 4, 0.75).collect()),
+    "incorrectOutliers" -> (() => PairSelection.incorrectOutliers(withNaN, 0.5, 2).collect()),
+    "partitionConfidence" -> (() => PairSelection.partitionConfidence(withNaN, 4).collect())) ++
+    Seq("random", "class", "quantile").map(m =>
+      s"percentileRepresentatives($m)" -> (() => PairSelection.percentileRepresentatives(withNaN, 4, 2, m).collect()))
+  for ((name, tool) <- nanTools) test(s"$name fails on a NaN score, naming the pair") {
+    val e = intercept[Exception](tool())
+    assert(e.getMessage.contains("pair (7, 107) has a NaN score"), e.getMessage)
   }
 
   test("percentileRepresentatives rejects unknown strategies") {

@@ -26,8 +26,8 @@ object ReferenceExploration {
     * cached, then the join count and each side's count.
     */
   def confusionMatrixFromPairs(expPairs: DataFrame, goldPairs: DataFrame, n: Long): ConfusionMatrix = {
-    val e = ClusteringOps.canonicalPairs(expPairs).cache()
-    val g = ClusteringOps.canonicalPairs(goldPairs).cache()
+    val e = SetComparison.canonicalPairs(expPairs).cache()
+    val g = SetComparison.canonicalPairs(goldPairs).cache()
     val tp = e.join(g, Seq("a", "b")).count()
     val ec = e.count(); val gc = g.count()
     e.unpersist(); g.unpersist()

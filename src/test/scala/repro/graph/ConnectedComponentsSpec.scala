@@ -269,7 +269,7 @@ class ConnectedComponentsSpec extends SparkSpec {
     val spark_ = clustersOf(ConnectedComponents.closure(records(n), edgesDf(pairs: _*)))
     // same partition: records share a spark cluster iff they share a UF cluster
     for (i <- 0 until n; j <- (i + 1) until n) {
-      assert((spark_(i) == spark_(j)) == uf.sameCluster(i, j), s"disagreement on ($i,$j)")
+      assert((spark_(i) == spark_(j)) == (uf.find(i) == uf.find(j)), s"disagreement on ($i,$j)")
     }
   }
 }

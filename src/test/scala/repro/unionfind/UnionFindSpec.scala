@@ -7,7 +7,7 @@ class UnionFindSpec extends AnyFunSuite {
 
   test("initial state: n singleton clusters, zero pairs") {
     val uf = new UnionFind(5)
-    assert(uf.componentCount == 5)
+    assert(uf.toClustering.distinct.length == 5)
     assert(uf.pairCount == 0)
     (0 until 5).foreach(i => assert(uf.find(i) == i))
     (0 until 5).foreach(i => assert(uf.size(i) == 1))
@@ -15,7 +15,7 @@ class UnionFindSpec extends AnyFunSuite {
 
   test("n = 0 is allowed") {
     val uf = new UnionFind(0)
-    assert(uf.componentCount == 0 && uf.pairCount == 0)
+    assert(uf.toClustering.distinct.length == 0 && uf.pairCount == 0)
   }
 
   test("negative n is rejected") {
@@ -25,10 +25,10 @@ class UnionFindSpec extends AnyFunSuite {
   test("union merges two singletons into one pair") {
     val uf = new UnionFind(4)
     uf.union(0, 1)
-    assert(uf.sameCluster(0, 1))
-    assert(!uf.sameCluster(0, 2))
+    assert(uf.find(0) == uf.find(1))
+    assert(uf.find(0) != uf.find(2))
     assert(uf.pairCount == 1)
-    assert(uf.componentCount == 3)
+    assert(uf.toClustering.distinct.length == 3)
   }
 
   test("union of same cluster is a no-op returning -1") {
@@ -53,7 +53,7 @@ class UnionFindSpec extends AnyFunSuite {
     val n = 137
     val uf = new UnionFind(n)
     (1 until n).foreach(i => uf.union(i - 1, i))
-    assert(uf.componentCount == 1)
+    assert(uf.toClustering.distinct.length == 1)
     assert(uf.pairCount == n.toLong * (n - 1) / 2)
   }
 
@@ -167,7 +167,7 @@ class UnionFindSpec extends AnyFunSuite {
     }
   }
 
-  // Randomized cross-check: pairCount and componentCount against a brute-force
+  // Randomized cross-check: pairCount and the cluster count against a brute-force
   // partition model, across several seeds.
   for (seed <- 1 to 8) {
     test(s"randomized cross-check against brute-force partitions (seed=$seed)") {
@@ -183,12 +183,12 @@ class UnionFindSpec extends AnyFunSuite {
         if (ra != rb) model(ra) = rb
       }
       val groups = (0 until n).groupBy(modelFind)
-      assert(uf.componentCount == groups.size)
+      assert(uf.toClustering.distinct.length == groups.size)
       val expectedPairs = groups.values.map(g => g.size.toLong * (g.size - 1) / 2).sum
       assert(uf.pairCount == expectedPairs)
       groups.values.foreach { g =>
         g.sliding(2).foreach {
-          case Seq(x, y) => assert(uf.sameCluster(x, y))
+          case Seq(x, y) => assert(uf.find(x) == uf.find(y))
           case _         =>
         }
       }
