@@ -15,8 +15,10 @@ exits non-zero or reports an incorrect result.
 
 It prints every run's end-to-end metrics, then per metric each side's median
 and quartiles (statistics.quantiles with n=4), the number of pairs the change
-won, and whether the change's median is worse than the parent's by more than
-the metric's bound in BENCHMARK.json.
+won, whether the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json, and whether a gain is shown: the change won
+at least nine tenths of the pairs (ties count for neither side) and its median
+is better than the parent's by more than the parent's q3 - q1.
 """
 
 import argparse
@@ -87,7 +89,7 @@ def main():
 
     print(f"\n{args.workload}: {args.pairs} pairs, parent {args.parent}, change {args.change}")
     print(f"{'metric':12s} {'parent median [q1, q3]':>28s} {'change median [q1, q3]':>28s} "
-          f"{'change':>8s} {'won':>6s}  verdict")
+          f"{'change':>8s} {'won':>6s}  {'claim':13s}  verdict")
     for m in bench["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         par = [r[name] for r in runs["parent"]]
@@ -97,13 +99,21 @@ def main():
         delta = (cm - pm) / pm if pm else 0.0
         worse = delta if lower else -delta
         verdict = "WORSE than the bound" if worse > m["bound"] else "within the bound"
+        q1, _, q3 = quartiles(par)
+        gain = (pm - cm) if lower else (cm - pm)
+        claim = "gain shown" if 10 * won >= 9 * len(par) and gain > q3 - q1 else "no gain shown"
         print(f"{name:12s} {spread(par):>28s} {spread(chg):>28s} {delta:+8.1%} {won:3d}/{len(par):<2d}  "
-              f"{verdict} ({m['bound']:.0%}, {m['better']} is better)")
+              f"{claim:13s}  {verdict} ({m['bound']:.0%}, {m['better']} is better)")
+
+
+def quartiles(xs):
+    """(q1, median, q3) of xs."""
+    return tuple(statistics.quantiles(xs, n=4)) if len(xs) > 1 else (xs[0],) * 3
 
 
 def spread(xs):
     """`median [q1, q3]` of xs."""
-    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    q1, med, q3 = quartiles(xs)
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 

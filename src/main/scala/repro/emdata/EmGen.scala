@@ -1,12 +1,14 @@
 package repro.emdata
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.util.Random
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.types._
 
-import repro.core.DriverFrames
+import repro.core.{DriverFrames, Tasks}
 
 /** Generator for dirty entity-matching datasets with gold standard.
   *
@@ -77,14 +79,14 @@ object EmGen {
   /** Per token of a duplicate's value: the chance it is dropped and, if
     * kept, the chance it is swapped for a random pool token.
     */
-  private val dropRate = 0.05
-  private val swapRate = 0.03
+  private[emdata] val dropRate = 0.05
+  private[emdata] val swapRate = 0.03
 
   /** Exponent of the Zipf draw of a `zipf` attribute's tokens. */
-  private val zipfAlpha = 1.1
+  private[emdata] val zipfAlpha = 1.1
 
   /** Zipf sampler over `0 until n` with exponent `alpha`. */
-  private final class ZipfSampler(n: Int, alpha: Double, rnd: Random) {
+  private[emdata] final class ZipfSampler(n: Int, alpha: Double, rnd: Random) {
     private val cum = new Array[Double](n)
     locally {
       var acc = 0.0
@@ -109,30 +111,46 @@ object EmGen {
     // Shuffle the pool so Zipf frequency ranks do not align with the pool's
     // construction order (global/common/exclusive token classes) — in real
     // data, shared domain words are not systematically the frequent ones.
-    val pool = rnd.shuffle(spec.pool)
-    val zipf = new ZipfSampler(pool.size, zipfAlpha, rnd)
+    val pool = rnd.shuffle(spec.pool).toArray
+    val zipf = new ZipfSampler(pool.length, zipfAlpha, rnd)
+    val attrs = spec.attrs.toArray
+    val width = attrs.length
 
-    def drawValue(attr: AttrSpec): Array[String] = {
+    // A value is the pool indices of its tokens; the records frame joins
+    // them into strings in the tasks.
+    def drawValue(attr: AttrSpec): Array[Int] = {
       val k = math.max(1, math.round(attr.meanWords + rnd.nextGaussian() * attr.meanWords / 5.0).toInt)
-      Array.fill(k) {
-        val idx = if (attr.zipf) zipf.next() else rnd.nextInt(pool.size)
-        pool(idx)
+      val tokens = new Array[Int](k)
+      var j = 0
+      while (j < k) {
+        tokens(j) = if (attr.zipf) zipf.next() else rnd.nextInt(pool.length)
+        j += 1
       }
+      tokens
     }
 
-    def corrupt(tokens: Array[String], attr: AttrSpec): String = {
-      if (rnd.nextDouble() < attr.nullRate) return null
-      val kept = tokens.flatMap { t =>
-        if (rnd.nextDouble() < dropRate) None
-        else if (rnd.nextDouble() < swapRate) Some(pool(rnd.nextInt(pool.size)))
-        else Some(t)
+    // `corrupt` gathers a copy's kept tokens here, then copies them out.
+    var kept = new Array[Int](16)
+    def corrupt(tokens: Array[Int], attr: AttrSpec): Array[Int] =
+      if (rnd.nextDouble() < attr.nullRate) null
+      else {
+        if (kept.length < tokens.length) kept = new Array[Int](2 * tokens.length)
+        var m = 0
+        var j = 0
+        while (j < tokens.length) {
+          if (rnd.nextDouble() >= dropRate) {
+            kept(m) = if (rnd.nextDouble() < swapRate) rnd.nextInt(pool.length) else tokens(j)
+            m += 1
+          }
+          j += 1
+        }
+        if (m == 0) Array(tokens(rnd.nextInt(tokens.length))) else java.util.Arrays.copyOf(kept, m)
       }
-      val out = if (kept.isEmpty) Array(tokens(rnd.nextInt(tokens.length))) else kept
-      out.mkString(" ")
-    }
 
     val gold = new Array[Int](spec.nRecords)
-    val values = new Array[Array[String]](spec.nRecords)
+    // Record i's value of attribute a is values(i * width + a).
+    val values = new Array[Array[Int]](spec.nRecords * width)
+    val entity = new Array[Array[Int]](width)
     var recId = 0
     var clusterId = 0
 
@@ -141,11 +159,13 @@ object EmGen {
     (spec.dupClusters :+ ((1, spec.nRecords - spec.dupRecords))).foreach { case (size, count) =>
       var c = 0
       while (c < count) {
-        val entity = spec.attrs.map(a => (a, drawValue(a)))
+        var a = 0
+        while (a < width) { entity(a) = drawValue(attrs(a)); a += 1 }
         var s = 0
         while (s < size) {
           gold(recId) = clusterId
-          values(recId) = entity.map { case (a, v) => corrupt(v, a) }.toArray
+          a = 0
+          while (a < width) { values(recId * width + a) = corrupt(entity(a), attrs(a)); a += 1 }
           recId += 1; s += 1
         }
         clusterId += 1; c += 1
@@ -158,17 +178,51 @@ object EmGen {
         spec.attrs.map(a => StructField(a.name, StringType, nullable = true))
     )
     val records = DriverFrames(spark, spec.nRecords, schema) { i =>
-      Row.fromSeq(i.toLong +: gold(i).toLong +: values(i).toSeq)
+      val row = new Array[Any](2 + width)
+      row(0) = i.toLong
+      row(1) = gold(i).toLong
+      var a = 0
+      while (a < width) { row(2 + a) = joined(pool, values(i * width + a)); a += 1 }
+      new GenericRow(row)
     }
     val goldDf = records.select("id", "cluster")
 
     new EmDataset(spec, records, goldDf, gold, labeledPairs(spark, spec, gold, rnd))
   }
 
+  /** The tokens `pool(tokens(0))`, `pool(tokens(1))`, ... joined by single
+    * spaces; null for null.
+    */
+  private def joined(pool: Array[String], tokens: Array[Int]): String =
+    if (tokens == null) null
+    else {
+      var length = tokens.length - 1
+      var j = 0
+      while (j < tokens.length) { length += pool(tokens(j)).length; j += 1 }
+      val sb = new java.lang.StringBuilder(length)
+      j = 0
+      while (j < tokens.length) {
+        if (j > 0) sb.append(' ')
+        sb.append(pool(tokens(j)))
+        j += 1
+      }
+      sb.toString
+    }
+
+  /** The datasets of `specs` in their order, generated concurrently: each
+    * draws only from its own `Random`, so each is the dataset `generate`
+    * gives alone.
+    */
+  def generateAll(spark: SparkSession, specs: IndexedSeq[EmSpec]): IndexedSeq[EmDataset] = {
+    val out = new Array[EmDataset](specs.length)
+    Tasks.inTasks(specs.length, parallel = true)(i => out(i) = generate(spark, specs(i)))
+    ArraySeq.unsafeWrapArray(out)
+  }
+
   /** Labeled pair sample: all true duplicate pairs plus uniformly sampled
     * non-duplicate pairs so that positives / total = spec.positiveRatio.
     */
-  private def labeledPairs(spark: SparkSession, spec: EmSpec, gold: Array[Int], rnd: Random): DataFrame = {
+  private[emdata] def labeledPairs(spark: SparkSession, spec: EmSpec, gold: Array[Int], rnd: Random): DataFrame = {
     val positives = mutable.ArrayBuffer.empty[(Long, Long)]
     // Members per duplicate cluster are contiguous by construction.
     var base = 0

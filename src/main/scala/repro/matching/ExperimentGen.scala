@@ -79,7 +79,7 @@ object ExperimentGen {
     }
 
     val n = gold.length
-    val seen = mutable.HashSet.empty[Long]
+    val seen = new mutable.LongMap[Unit](fpCount)
     val fps = Vector.newBuilder[ScoredMatch]
     var produced = 0
     var attempts = 0
@@ -88,7 +88,8 @@ object ExperimentGen {
       attempts += 1
       if (a != b && gold(a) != gold(b)) {
         val key = math.min(a, b).toLong * n + math.max(a, b)
-        if (seen.add(key)) {
+        if (!seen.contains(key)) {
+          seen(key) = ()
           fps += ScoredMatch(math.min(a, b), math.max(a, b),
             clamp(0.25 + 0.45 * rnd.nextDouble() + 0.05 * rnd.nextGaussian()))
           produced += 1

@@ -35,8 +35,8 @@ object Table2 {
   val paperVsD3 = 0.377
 
   def run(spark: SparkSession): Result = {
-    val specs = Seq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3)
-    val datasets = specs.map(EmGen.generate(spark, _))
+    val specs = IndexedSeq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3)
+    val datasets = EmGen.generateAll(spark, specs)
 
     val attrNames = specs.head.attrs.map(_.name)
     val rows = datasets.map(profileRow(_, attrNames))

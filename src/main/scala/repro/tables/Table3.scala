@@ -127,9 +127,10 @@ object Table3 {
     MetricDiagram.custom(n, gold, ArraySeq.unsafeWrapArray(scored.filter(_.score >= t)), 2).last
 
   def run(spark: SparkSession): Result = {
-    // The records are driver-built frames over broadcast arrays, which a
-    // task rebuilds for less than a cache would cost to fill.
-    val datasets = Seq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3).map(EmGen.generate(spark, _))
+    // The records are driver-built frames over broadcast arrays, uncached:
+    // each task that scans them joins its values' strings from their pool
+    // indices.
+    val datasets = EmGen.generateAll(spark, IndexedSeq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3))
     val vocabs = Map(
       "X2" -> DatasetSpecs.x2.pool.toSet,
       "X3" -> DatasetSpecs.x3.pool.toSet,

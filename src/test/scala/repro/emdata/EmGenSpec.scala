@@ -138,6 +138,44 @@ class EmGenSpec extends SparkSpec {
     }
   }
 
+  /** The rows of `df`, in order. */
+  private def rowsOf(df: org.apache.spark.sql.DataFrame): Array[Seq[Any]] = df.collect().map(_.toSeq)
+
+  /** Fails naming the first index where `got` and `want` differ, with both values. */
+  private def assertSameAt[T](what: String, got: Array[T], want: Array[T]): Unit =
+    got.indices.find(i => i >= want.length || got(i) != want(i)) match {
+      case Some(i) => fail(s"$what differ first at $i: ${got(i)} against the reference's ${want.lift(i).orNull}")
+      case None => assert(got.length == want.length, s"$what: ${got.length} rows, the reference ${want.length}")
+    }
+
+  // Four tiny() shapes, and one whose attributes draw one token each, so a
+  // copy that drops its only token falls back to one of the entity's.
+  test("generate gives the reference generator's records, gold and labeled pairs") {
+    val oneWord = DatasetSpecs.tiny(n = 500, seed = 9)
+    val specs = Seq(DatasetSpecs.tiny(), DatasetSpecs.tiny(n = 400, seed = 21, sp = 0.15),
+      DatasetSpecs.tiny(n = 250, seed = 3, sp = 0.4), DatasetSpecs.tiny(n = 1000, seed = 77, sp = 0.02),
+      oneWord.copy(attrs = oneWord.attrs.map(_.copy(meanWords = 1))))
+    for (spec <- specs) {
+      val (got, want) = (EmGen.generate(spark, spec), ReferenceEmGen.generate(spark, spec))
+      assertSameAt(s"${spec.name} seed ${spec.seed} gold", got.goldArray, want.goldArray)
+      assertSameAt(s"${spec.name} seed ${spec.seed} records", rowsOf(got.records), rowsOf(want.records))
+      assertSameAt(s"${spec.name} seed ${spec.seed} labeled pairs", rowsOf(got.labeledPairs), rowsOf(want.labeledPairs))
+    }
+  }
+
+  test("the four notebook datasets generated at once equal those generated one by one") {
+    val specs = IndexedSeq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3)
+    // The ordered digest of each partition's rows, in partition order.
+    def digest(d: EmGen.EmDataset): Int = scala.util.hashing.MurmurHash3.orderedHash(
+      d.records.rdd.mapPartitions(rows => Iterator(scala.util.hashing.MurmurHash3.orderedHash(rows.map(_.toSeq)))).collect())
+    val at = EmGen.generateAll(spark, specs).map(d => (d.goldArray, digest(d)))
+    for ((spec, (gold, hash)) <- specs.zip(at)) {
+      val alone = EmGen.generate(spark, spec)
+      assert(gold.sameElements(alone.goldArray), s"${spec.name}: gold arrays differ")
+      assert(hash == digest(alone), s"${spec.name}: records differ")
+    }
+  }
+
   test("spec validation: oversized duplicate demand is rejected") {
     assertThrows[IllegalArgumentException](
       spec.copy(nRecords = 10, dupClusters = Seq((5, 10))))

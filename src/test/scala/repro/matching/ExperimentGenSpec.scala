@@ -64,6 +64,15 @@ class ExperimentGenSpec extends AnyFunSuite {
     assert(a != c)
   }
 
+  // Every match of one seeded experiment, pinned: a changed draw order or
+  // duplicate check in the generator changes them, where two runs still agree.
+  test("scoredExperiment's matches are pinned at one seed") {
+    val gold = ExperimentGen.uniformGold(2000, 200, 4)
+    val exp = ExperimentGen.scoredExperiment(gold, 1000, 0.4, seed = 17)
+    val rows = exp.map(m => (m.a, m.b, m.score))
+    assert((rows.size, scala.util.hashing.MurmurHash3.orderedHash(rows)) == ((1000, -1506122843)))
+  }
+
   test("scoredExperiment false pairs are distinct and never self-pairs") {
     val gold = ExperimentGen.uniformGold(50, 5, 3)
     val exp = ExperimentGen.scoredExperiment(gold, 30, 0.5, seed = 4)
