@@ -33,6 +33,10 @@ class Table3Bench extends SparkSpec {
     println(f"Table3.run: $wallS%.1f s wall, $jobs Spark jobs")
   }
 
+  test("Table3.run starts 12 Spark jobs: one tokenizing job per dataset and one collect per table") {
+    assert(jobs == 12, s"Table3.run started $jobs Spark jobs")
+  }
+
   test("each family excels on its home training dataset") {
     assert(f1("X2", "X2") > 0.9, s"X2 family on X2: ${f1("X2", "X2")}")
     assert(f1("X3", "X3") > 0.75, s"X3 family on X3: ${f1("X3", "X3")}")

@@ -8,9 +8,14 @@ import repro.matching.Similarity
 /** Sorting strategies for pair interestingness (Frost, Section 4.3). */
 object SortingStrategies {
 
-  /** Sort a scored pair set by similarity (4.3.1). */
-  def bySimilarity(pairs: DataFrame, descending: Boolean = true): DataFrame =
-    pairs.orderBy(if (descending) col("score").desc else col("score").asc)
+  /** Sort a scored pair set by similarity (4.3.1). The sort reads
+    * [[SetComparison.checkedScore]], so a NaN score fails the query naming
+    * its pair, where Spark would rank it above every number.
+    */
+  def bySimilarity(pairs: DataFrame, descending: Boolean = true): DataFrame = {
+    val score = SetComparison.checkedScore
+    pairs.orderBy(if (descending) score.desc else score.asc)
+  }
 
   /** A cell's tokens, repeats included, as [[Similarity.foreachToken]]
     * scans them: lower-cased words; none for null.

@@ -10,13 +10,22 @@ import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType
   * token become candidate pairs, each with a per-attribute similarity and a
   * weighted decision score. Oversized blocks (stop-word tokens) are dropped
   * via `maxBlockSize` — the standard guard against quadratic blow-up.
-  * Tokens shorter than three characters (articles, initials) never form
+  * Tokens shorter than three code points (articles, initials) never form
   * blocks.
   */
 object Blocking {
 
   /** Fewest code points a blocking token has. */
   private[matching] val shortestToken = 3
+
+  /** Whether the token of each ID may form a block, for a dataset's
+    * `tokens` in ID order under the vocabulary mask `known`
+    * ([[Similarity.known]]): it is known and has at least [[shortestToken]]
+    * code points (code points, not UTF-16 units, as Spark's `length` counts
+    * them).
+    */
+  private[matching] def isKey(tokens: Array[String], known: Array[Int]): Array[Boolean] =
+    Array.tabulate(tokens.length)(r => known(r) == 1 && tokens(r).codePointCount(0, tokens(r).length) >= shortestToken)
 
   /** Token blocking over the given attributes: the pairs of a
     * [[similarities]] table that scores no attribute.
@@ -46,10 +55,8 @@ object Blocking {
     * when either side is null). The similarity is the vocabulary-discounted
     * token Jaccard of [[Similarity.knownJaccard]], the plain token Jaccard
     * without `vocab`; its string references, `tokenJaccardKnown` and
-    * `tokenJaccard`, live in test scope in `ReferenceSimilarity`. One
-    * [[TokenIndex]] over `records` encodes each record once; Spark tasks
-    * then emit the candidate pairs of ranges of its blocks and compute their
-    * similarities in the same row, so the table is computed with no shuffle.
+    * `tokenJaccard`, live in test scope in `ReferenceSimilarity`. The table
+    * is the one-vocabulary case of [[similarityTables]].
     *
     * @throws IllegalArgumentException naming the ID, if a record ID is null
     *         or appears more than once
@@ -60,24 +67,45 @@ object Blocking {
       blockingAttrs: Seq[String],
       maxBlockSize: Int,
       vocab: Option[Set[String]],
-  ): DataFrame = {
+  ): DataFrame = similarityTables(records, attrs, blockingAttrs, maxBlockSize, Seq(vocab)).head
+
+  /** The [[similarities]] tables of `records` under each of `vocabs`, in
+    * order. One [[TokenIndex]] over `records`, built by one Spark job,
+    * encodes each record once for all of them; each table reads it through
+    * its vocabulary's mask and postings. Spark tasks then emit the candidate
+    * pairs of ranges of a table's blocks and compute their similarities in
+    * the same row, so each table is computed with no shuffle.
+    *
+    * @throws IllegalArgumentException naming the ID, if a record ID is null
+    *         or appears more than once
+    */
+  private[repro] def similarityTables(
+      records: DataFrame,
+      attrs: Seq[String],
+      blockingAttrs: Seq[String],
+      maxBlockSize: Int,
+      vocabs: Seq[Option[Set[String]]],
+  ): Seq[DataFrame] = {
     require(attrs.distinct.size == attrs.size, s"each attribute once, got ${attrs.mkString(", ")}")
-    val index = TokenIndex(records, blockingAttrs, attrs, maxBlockSize, vocab)
+    val index = TokenIndex(records, blockingAttrs, attrs)
     val schema = StructType(pairSchema.fields ++ attrs.flatMap(at => Seq(
       StructField(s"act_$at", DoubleType, nullable = false),
       StructField(s"sim_$at", DoubleType, nullable = false))))
     val (ids, encoded) = (index.ids, index.encoded)
-    index.frame(records.sparkSession, schema) { (i, j) =>
-      val values = new Array[Any](2 + 2 * encoded.length)
-      values(0) = ids(i); values(1) = ids(j)
-      var k = 0
-      while (k < encoded.length) {
-        val x = encoded(k)(i); val y = encoded(k)(j)
-        values(2 + 2 * k) = if (x != null || y != null) 1.0 else 0.0
-        values(3 + 2 * k) = if (x == null || y == null) 0.0 else Similarity.knownJaccard(x, y)
-        k += 1
+    vocabs.map { vocab =>
+      val known = Similarity.known(index.tokens, vocab)
+      index.postings(known, maxBlockSize).frame(records.sparkSession, schema) { (i, j) =>
+        val values = new Array[Any](2 + 2 * encoded.length)
+        values(0) = ids(i); values(1) = ids(j)
+        var k = 0
+        while (k < encoded.length) {
+          val x = encoded(k)(i); val y = encoded(k)(j)
+          values(2 + 2 * k) = if (x != null || y != null) 1.0 else 0.0
+          values(3 + 2 * k) = if (x == null || y == null) 0.0 else Similarity.knownJaccard(x, y, known)
+          k += 1
+        }
+        new GenericRow(values)
       }
-      new GenericRow(values)
     }
   }
 

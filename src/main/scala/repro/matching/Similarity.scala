@@ -1,9 +1,9 @@
 package repro.matching
 
 /** Similarity measures used by the matching solutions: whitespace
-  * tokenization, and the vocabulary-discounted token Jaccard of two token
-  * sets encoded against one [[TokenDictionary]], which the similarity tables
-  * compute.
+  * tokenization, and the vocabulary-discounted token Jaccard of two sets of
+  * token IDs under a vocabulary mask ([[known]]), which the similarity
+  * tables compute.
   */
 object Similarity {
 
@@ -48,38 +48,17 @@ object Similarity {
   private def isSpace(c: Char): Boolean =
     c == ' ' || c == '\t' || c == '\n' || c == '\u000B' || c == '\f' || c == '\r'
 
-  /** Token IDs of a dataset's distinct tokens, `ids(r)` for the token of
-    * rank r. Known tokens (all of them without a vocabulary) are numbered
-    * from 0 up: the `blockingKeys` tokens of at least
-    * [[Blocking.shortestToken]] code points first, then the shorter ones.
-    * Unknown tokens are numbered from -1 down. Each class keeps the tokens'
-    * order. So a token may form a block exactly when its ID is in
-    * `[0, blockingKeys)`, and a shared ID is known exactly when it is >= 0.
+  /** A vocabulary as a mask over a dataset's token IDs, which number its
+    * distinct tokens by rank: `known(r)` is 1 when `tokens(r)`, the token of
+    * rank r, is in `vocab`, else 0. Without a vocabulary every token is
+    * known.
     */
-  private[matching] final class TokenDictionary(val ids: Array[Int], val blockingKeys: Int)
+  private[matching] def known(tokens: Array[String], vocab: Option[Set[String]]): Array[Int] =
+    tokens.map(t => if (vocab.forall(_.contains(t))) 1 else 0)
 
-  /** The dictionary of `sorted`, a dataset's distinct tokens in ascending
-    * order.
-    */
-  private[matching] def dictionary(sorted: Array[String], vocab: Option[Set[String]]): TokenDictionary = {
-    val known = sorted.map(t => vocab.forall(_.contains(t)))
-    // Code points, not UTF-16 units, as Spark's `length` counts them.
-    val long = Array.tabulate(sorted.length) { r =>
-      known(r) && sorted(r).codePointCount(0, sorted(r).length) >= Blocking.shortestToken
-    }
-    val blockingKeys = long.count(identity)
-    var nextLong = 0; var nextShort = blockingKeys; var nextUnknown = -1
-    val ids = Array.tabulate(sorted.length) { r =>
-      if (long(r)) { nextLong += 1; nextLong - 1 }
-      else if (known(r)) { nextShort += 1; nextShort - 1 }
-      else { nextUnknown -= 1; nextUnknown + 1 }
-    }
-    new TokenDictionary(ids, blockingKeys)
-  }
-
-  /** Vocabulary-discounted token Jaccard of two encoded token sets: models
-    * a solution whose learned token weights cover only its training
-    * vocabulary. Shared tokens the solution knows count fully, shared tokens
+  /** Vocabulary-discounted token Jaccard of two sorted sets of token IDs
+    * under the vocabulary mask `known` ([[known]]): models a solution whose
+    * learned token weights cover only its training vocabulary. Shared tokens the solution knows count fully, shared tokens
     * it does not know count half (it sees the string equality but has no
     * learned weight for it):
     *
@@ -91,10 +70,11 @@ object Similarity {
     * (Frost, Appendix C.2). One sorted merge with no data-dependent
     * branch: each step compares the heads as longs, whose sign bits give
     * `lt` and `gt`, advances the side or sides not greater, and counts an
-    * equal pair once, and once more when its ID is known (sign bit clear).
-    * 0.0 when either set is empty.
+    * equal pair once, and once more when `known` is 1 at its ID. The two
+    * counts do not depend on how the IDs number the tokens. 0.0 when
+    * either set is empty.
     */
-  private[matching] def knownJaccard(x: Array[Int], y: Array[Int]): Double =
+  private[matching] def knownJaccard(x: Array[Int], y: Array[Int], known: Array[Int]): Double =
     if (x.length == 0 || y.length == 0) 0.0
     else {
       var i = 0; var j = 0; var inter = 0; var knownInter = 0
@@ -104,7 +84,7 @@ object Similarity {
         val gt = ((v.toLong - u.toLong) >>> 63).toInt
         val eq = 1 - lt - gt
         inter += eq
-        knownInter += eq & (~u >>> 31)
+        knownInter += eq & known(u)
         i += 1 - gt
         j += 1 - lt
       }

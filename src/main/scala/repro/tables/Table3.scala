@@ -27,12 +27,14 @@ import repro.matching.Blocking
   * Each matcher's threshold is tuned on its home training dataset with the
   * platform's own metric/metric diagram machinery (max f1).
   *
-  * Scoring runs in Spark; each (dataset, family) similarity table is
-  * collected once, with the scores of all the family's solutions, and every
-  * confusion matrix, tuning and evaluation alike, comes from the Appendix-D
-  * algorithm ([[MetricDiagram]]) on the driver: an evaluation cell is the
-  * last matrix of a two-point diagram over the candidates scoring at least
-  * the tuned threshold, i.e. their transitive closure against gold.
+  * Scoring runs in Spark; each dataset is tokenized once, into one token
+  * index that both families' similarity tables read. Each (dataset, family)
+  * table is collected once, with the scores of all the family's solutions,
+  * and every confusion matrix, tuning and evaluation alike, comes from the
+  * Appendix-D algorithm ([[MetricDiagram]]) on the driver: an evaluation
+  * cell is the last matrix of a two-point diagram over the candidates
+  * scoring at least the tuned threshold, i.e. their transitive closure
+  * against gold.
   */
 object Table3 {
 
@@ -81,8 +83,14 @@ object Table3 {
     * solutions of a family score as weighted means over these columns, so
     * the expensive blocking + similarity work is shared across the family.
     */
-  def familySims(records: DataFrame, vocab: Set[String]): DataFrame =
-    Blocking.similarities(records, attrs, Seq("name"), maxBlockSize, Some(vocab))
+  def familySims(records: DataFrame, vocab: Set[String]): DataFrame = familyTables(records, Seq(vocab)).head
+
+  /** The [[familySims]] tables of `records` for each of `vocabs`, in order,
+    * from one token index: one Spark job tokenizes the records once for all
+    * of them ([[Blocking.similarityTables]]).
+    */
+  private[tables] def familyTables(records: DataFrame, vocabs: Seq[Set[String]]): Seq[DataFrame] =
+    Blocking.similarityTables(records, attrs, Seq("name"), maxBlockSize, vocabs.map(Some(_)))
 
   /** Score column of one solution over a familySims table. */
   def scoreOf(sol: Solution): org.apache.spark.sql.Column =
@@ -131,24 +139,26 @@ object Table3 {
     // each task that scans them joins its values' strings from their pool
     // indices.
     val datasets = EmGen.generateAll(spark, IndexedSeq(DatasetSpecs.x2, DatasetSpecs.z2, DatasetSpecs.x3, DatasetSpecs.z3))
+    val families = Seq("X2", "X3")
     val vocabs = Map(
       "X2" -> DatasetSpecs.x2.pool.toSet,
       "X3" -> DatasetSpecs.x3.pool.toSet,
     )
 
-    // One pass over the (dataset, family) similarity tables, each collected
-    // once with its family's scores; home tables come first, so a family's
-    // thresholds are tuned before any of its cells is evaluated.
+    // Both families' similarity tables of a dataset come from its one token
+    // index. Each table is collected once with its family's scores; home
+    // tables come first, so a family's thresholds are tuned before any of
+    // its cells is evaluated.
     val tables = for {
-      home <- Seq(true, false)
-      fam <- Seq("X2", "X3")
-      d <- datasets if (d.spec.name == fam) == home
-    } yield (fam, d)
+      d <- datasets
+      (fam, table) <- families.zip(familyTables(d.records, families.map(vocabs)))
+    } yield (fam, d, table)
+    val (home, foreign) = tables.partition { case (fam, d, _) => d.spec.name == fam }
     val thresholds = mutable.Map.empty[String, Double]
-    val perSolution: Seq[((String, String), Cell)] = tables.flatMap { case (fam, d) =>
+    val perSolution: Seq[((String, String), Cell)] = (home ++ foreign).flatMap { case (fam, d, table) =>
       val (n, gold) = (d.spec.nRecords, d.goldArray)
       val sols = solutions.filter(_.family == fam)
-      val scored = sols.zip(scoredMatches(familySims(d.records, vocabs(fam)), sols))
+      val scored = sols.zip(scoredMatches(table, sols))
       if (d.spec.name == fam) scored.foreach { case (sol, s) => thresholds(sol.name) = tuneThreshold(s, n, gold) }
       scored.map { case (sol, s) =>
         val cm = evaluate(n, gold, s, thresholds(sol.name))

@@ -14,6 +14,14 @@ class SortingStrategiesSpec extends SparkSpec {
     assert(asc.toSeq == Seq(0.3, 0.5, 0.9))
   }
 
+  test("bySimilarity fails on a NaN score, naming the pair, in both directions") {
+    val pairs = Seq((1L, 2L, 0.3), (3L, 4L, Double.NaN), (5L, 6L, 0.5)).toDF("a", "b", "score")
+    for (descending <- Seq(true, false)) {
+      val e = intercept[Exception](SortingStrategies.bySimilarity(pairs, descending).collect())
+      assert(e.getMessage.contains("pair (3, 4) has a NaN score"), s"descending=$descending: ${e.getMessage}")
+    }
+  }
+
   test("recordEntropy: unique tokens carry more information than repeated ones") {
     // "rare" appears once in the column; "common" appears in every record.
     val records = Seq(

@@ -31,10 +31,10 @@ object ReferenceSimilarity {
   }
 
   /** [[Similarity.knownJaccard]] as a sorted merge that branches on each
-    * comparison: shared IDs count once, shared known (>= 0) IDs once more;
-    * 0.0 when either set is empty.
+    * comparison: shared IDs count once, shared IDs that the mask `known`
+    * marks (1) once more; 0.0 when either set is empty.
     */
-  def knownJaccard(x: Array[Int], y: Array[Int]): Double =
+  def knownJaccard(x: Array[Int], y: Array[Int], known: Array[Int]): Double =
     if (x.length == 0 || y.length == 0) 0.0
     else {
       var i = 0; var j = 0; var inter = 0; var knownInter = 0
@@ -42,7 +42,7 @@ object ReferenceSimilarity {
         val u = x(i); val v = y(j)
         if (u < v) i += 1
         else if (v < u) j += 1
-        else { inter += 1; if (u >= 0) knownInter += 1; i += 1; j += 1 }
+        else { inter += 1; if (known(u) == 1) knownInter += 1; i += 1; j += 1 }
       }
       (inter + knownInter) / (2.0 * (x.length + y.length - inter))
     }

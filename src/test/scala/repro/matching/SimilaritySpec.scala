@@ -66,23 +66,27 @@ class SimilaritySpec extends AnyFunSuite {
     }
   }
 
-  test("dictionary numbers known tokens of three or more code points first, unknown ones below 0") {
+  test("the vocabulary is a mask over the token ranks, read by blocking") {
     val sorted = Array("zed", "ab", "\ud83d\ude00a", "abc", "oov").sorted
-    val dict = Similarity.dictionary(sorted, Some(Set("zed", "ab", "\ud83d\ude00a", "abc")))
-    assert(dict.blockingKeys == 2)
-    val id = sorted.zip(dict.ids).toMap
-    assert(Seq("abc", "zed", "ab", "\ud83d\ude00a", "oov").map(id) == Seq(0, 1, 2, 3, -1))
+    assert(sorted.toSeq == Seq("ab", "abc", "oov", "zed", "\ud83d\ude00a"))
+    val known = Similarity.known(sorted, Some(Set("zed", "ab", "\ud83d\ude00a", "abc")))
+    assert(known.toSeq == Seq(1, 1, 0, 1, 1))
+    // "😀a" is three UTF-16 units but two code points.
+    assert(Blocking.isKey(sorted, known).toSeq == Seq(false, true, false, true, false))
+    val all = Similarity.known(sorted, None)
+    assert(all.toSeq == Seq(1, 1, 1, 1, 1))
+    assert(Blocking.isKey(sorted, all).toSeq == Seq(false, true, true, true, false))
   }
 
   test("encoded token similarity equals tokenJaccardKnown / tokenJaccard bit for bit (property)") {
     val prop = Prop.forAll(SimilaritySpec.messyString, SimilaritySpec.messyString, SimilaritySpec.vocab) {
       (a, b, vocab) =>
         val sorted = (Similarity.tokens(a) ++ Similarity.tokens(b) + "unused").toArray.sorted
-        val id = sorted.zip(Similarity.dictionary(sorted, vocab).ids).toMap
-        def encode(s: String) = if (s == null) null else Similarity.tokens(s).toArray.map(id).sorted
+        val rank = sorted.zipWithIndex.toMap
+        def encode(s: String) = if (s == null) null else Similarity.tokens(s).toArray.map(rank).sorted
         val (ea, eb) = (encode(a), encode(b))
         // As in the similarity table: a null side scores 0.
-        val got = if (ea == null || eb == null) 0.0 else Similarity.knownJaccard(ea, eb)
+        val got = if (ea == null || eb == null) 0.0 else Similarity.knownJaccard(ea, eb, Similarity.known(sorted, vocab))
         val want = vocab.fold(ReferenceSimilarity.tokenJaccard(a, b))(ReferenceSimilarity.tokenJaccardKnown(a, b, _))
         (java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
           s"got $got want $want"
@@ -93,11 +97,11 @@ class SimilaritySpec extends AnyFunSuite {
   }
 
   test("knownJaccard's branch-free merge equals the branching merge bit for bit (property)") {
-    val prop = Prop.forAll(SimilaritySpec.idSetPair) { case (x, y) =>
-      val got = Similarity.knownJaccard(x, y)
-      val want = ReferenceSimilarity.knownJaccard(x, y)
+    val prop = Prop.forAll(SimilaritySpec.maskedPair) { case (x, y, known) =>
+      val got = Similarity.knownJaccard(x, y, known)
+      val want = ReferenceSimilarity.knownJaccard(x, y, known)
       (java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
-        s"x ${x.mkString(",")} y ${y.mkString(",")}: got $got want $want"
+        s"x ${x.mkString(",")} y ${y.mkString(",")} known ${known.mkString}: got $got want $want"
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(3000).withInitialSeed(Seed(17L)), prop)
@@ -146,28 +150,26 @@ object SimilaritySpec {
     } yield lead + toks.zipAll(seps, "", "").map { case (t, s) => t + s }.mkString + trail),
   )
 
-  /** A sorted array of distinct token IDs: empty, or drawn from a small
-    * range around 0 (so that two sets often share IDs) and from the
-    * extremes `Int.MinValue`, `Int.MaxValue` and their neighbours.
+  /** A vocabulary mask over `m` token IDs and two sorted sets of distinct
+    * IDs below `m`: independent, equal, or disjoint (one set split in two).
+    * `m` is mostly small, so that two sets often share IDs, and the mask
+    * is mostly mixed, all known or all unknown.
     */
-  private val idSet: Gen[Array[Int]] = {
-    val id = Gen.frequency(
-      6 -> Gen.choose(-8, 8),
-      1 -> Gen.oneOf(Int.MinValue, Int.MinValue + 1, Int.MaxValue - 1, Int.MaxValue),
-      1 -> Gen.choose(Int.MinValue, Int.MaxValue))
-    Gen.frequency(1 -> Gen.const(List.empty[Int]), 8 -> Gen.choose(1, 12).flatMap(Gen.listOfN(_, id)))
+  private val maskedPair: Gen[(Array[Int], Array[Int], Array[Int])] = for {
+    m <- Gen.frequency(6 -> Gen.choose(1, 16), 1 -> Gen.choose(17, 2000))
+    known <- Gen.frequency(
+      4 -> Gen.listOfN(m, Gen.oneOf(0, 1)), 1 -> Gen.const(List.fill(m)(1)), 1 -> Gen.const(List.fill(m)(0)))
+    idSet = Gen.frequency(1 -> Gen.const(List.empty[Int]), 8 -> Gen.choose(1, 12).flatMap(Gen.listOfN(_, Gen.choose(0, m - 1))))
       .map(_.toArray.distinct.sorted)
-  }
-
-  /** Two ID sets: independent, equal, or disjoint (one set split in two). */
-  private val idSetPair: Gen[(Array[Int], Array[Int])] = Gen.frequency(
-    4 -> Gen.zip(idSet, idSet),
-    1 -> idSet.map(x => (x, x.clone())),
-    1 -> idSet.flatMap(x => Gen.listOfN(x.length, Gen.prob(0.5)).map { in =>
-      val (a, b) = x.zip(in).partition(_._2)
-      (a.map(_._1), b.map(_._1))
-    }),
-  )
+    pair <- Gen.frequency(
+      4 -> Gen.zip(idSet, idSet),
+      1 -> idSet.map(x => (x, x.clone())),
+      1 -> idSet.flatMap(x => Gen.listOfN(x.length, Gen.prob(0.5)).map { in =>
+        val (a, b) = x.zip(in).partition(_._2)
+        (a.map(_._1), b.map(_._1))
+      }),
+    )
+  } yield (pair._1, pair._2, known.toArray)
 
   /** No vocabulary, or a subset of the pool (plus a token no value has). */
   val vocab: Gen[Option[Set[String]]] =

@@ -18,16 +18,20 @@ class TokenIndexSpec extends SparkSpec {
   test("the token index equals the three-job reference: ids, encodings, blocks and pairs (property)") {
     val prop = Prop.forAll(TokenIndexSpec.indexCase) { case TokenIndexSpec.Case(parts, blocking, scored, maxBlockSize, vocab) =>
       val recs = frame(parts)
-      val got = TokenIndex(recs, blocking, scored, maxBlockSize, vocab)
-      val want = ReferenceTokenIndex(recs, blocking, scored, maxBlockSize, vocab)
-      def pairs(index: TokenIndex) = index.pairs(0, index.blocks)((i, j) => Row(index.ids(i), index.ids(j))).toSeq
-      def csr(index: TokenIndex) =
-        Seq(index.blockStart, index.blockMembers, index.recordStart, index.recordBlocks).map(_.toSeq)
+      val got = TokenIndex(recs, blocking, scored)
+      val want = ReferenceTokenIndex(recs, blocking, scored)
       def encodings(index: TokenIndex) = index.encoded.toSeq.map(_.toSeq.map(Option(_).map(_.toSeq)))
-      (got.ids.toSeq == want.ids.toSeq) :| s"ids ${got.ids.toSeq} vs ${want.ids.toSeq}" &&
+      def csr(p: Postings) = Seq(p.blockStart, p.blockMembers, p.recordStart, p.recordBlocks).map(_.toSeq)
+      def pairs(index: TokenIndex, p: Postings) = p.pairs(0, p.blocks)((i, j) => Row(index.ids(i), index.ids(j))).toSeq
+      val index = (got.ids.toSeq == want.ids.toSeq) :| s"ids ${got.ids.toSeq} vs ${want.ids.toSeq}" &&
+        (got.tokens.toSeq == want.tokens.toSeq) :| s"tokens ${got.tokens.toSeq} vs ${want.tokens.toSeq}" &&
         (encodings(got) == encodings(want)) :| s"encodings ${encodings(got)} vs ${encodings(want)}" &&
-        (csr(got) == csr(want)) :| s"blocks ${csr(got)} vs ${csr(want)}" &&
-        (pairs(got) == pairs(want)) :| s"pairs ${pairs(got)} vs ${pairs(want)}"
+        (got.blockingTokens.toSeq.map(_.toSeq) == want.blockingTokens.toSeq.map(_.toSeq)) :| "blocking tokens"
+      Seq(None, Some(vocab)).foldLeft(index) { (prop, v) =>
+        val (p, q) = (got.postings(Similarity.known(got.tokens, v), maxBlockSize), ReferenceTokenIndex.postings(want, v, maxBlockSize))
+        prop && (csr(p) == csr(q)) :| s"vocab $v: blocks ${csr(p)} vs ${csr(q)}" &&
+          (pairs(got, p) == pairs(want, q)) :| s"vocab $v: pairs ${pairs(got, p)} vs ${pairs(want, q)}"
+      }
     }
     val result = Check.check(
       Check.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(Seed(23L)), prop)
@@ -58,7 +62,7 @@ object TokenIndexSpec {
     StructField("brand", StringType), StructField("desc", StringType)))
 
   final case class Case(
-      parts: Seq[Seq[Row]], blocking: Seq[String], scored: Seq[String], maxBlockSize: Int, vocab: Option[Set[String]])
+      parts: Seq[Seq[Row]], blocking: Seq[String], scored: Seq[String], maxBlockSize: Int, vocab: Set[String])
 
   private val pool = SimilaritySpec.unicodeTokens ++ Seq("alpha", "Beta", "straße", "école", "日本語", "😀😀😀")
 
@@ -78,7 +82,7 @@ object TokenIndexSpec {
 
   /** Records with distinct, unordered IDs over 1 to 8 partitions, some of
     * them empty; one or two blocking attributes; no, some or all attributes
-    * scored; an optional vocabulary.
+    * scored; a vocabulary.
     */
   val indexCase: Gen[Case] = for {
     n <- Gen.choose(2, 30)
@@ -91,7 +95,7 @@ object TokenIndexSpec {
     blocking <- Gen.oneOf(Seq("name"), Seq("name", "brand"))
     scored <- Gen.oneOf(Nil, Seq("name", "desc"), Seq("desc", "brand", "name"))
     maxBlockSize <- Gen.choose(1, 10)
-    vocab <- Gen.option(Gen.someOf(pool.map(_.toLowerCase) :+ "onlyp0").map(_.toSet))
+    vocab <- Gen.someOf(pool.map(_.toLowerCase) :+ "onlyp0").map(_.toSet)
   } yield {
     val parts = (0 until partitions).map(p => rows.zip(where).collect { case (r, `p`) => r })
     Case(parts, blocking, scored, maxBlockSize, vocab)

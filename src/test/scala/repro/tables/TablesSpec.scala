@@ -2,6 +2,7 @@ package repro.tables
 
 import scala.collection.immutable.ArraySeq
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.Prop.propBoolean
@@ -170,6 +171,25 @@ class TablesSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("Table3's family tables from one token index equal familySims, bit for bit") {
+    // Z3's pool: the X2 vocabulary knows its domain tokens, the X3
+    // vocabulary these and its D3 pair-common tokens too.
+    val d = EmGen.generate(spark, DatasetSpecs.tiny(n = 300, seed = 5).copy(pool = DatasetSpecs.z3.pool))
+    val vocabs = Seq(DatasetSpecs.x2.pool.toSet, DatasetSpecs.x3.pool.toSet)
+    val (tables, jobs) = jobsOf(Table3.familyTables(d.records, vocabs))
+    assert(jobs == 1, s"building the index started $jobs Spark jobs")
+    def bits(rows: Array[Row]) = rows.toSeq.map(_.toSeq.map {
+      case x: Double => java.lang.Double.doubleToRawLongBits(x)
+      case x => x
+    })
+    val got = tables.map(t => bits(t.collect()))
+    for ((vocab, rows) <- vocabs.zip(got)) {
+      val want = bits(Table3.familySims(d.records, vocab).collect())
+      assert(rows.nonEmpty && rows == want, s"${rows.size} rows from the shared index, ${want.size} from familySims")
+    }
+    assert(got(0) != got(1), "the two vocabularies gave the same table")
   }
 
   test("Table3 evaluates a cell on the driver to the Spark closure's matrix, in one Spark job") {
